@@ -136,7 +136,7 @@ std::vector<uint64_t> RunQueries(CdstoreServer* server, const BenchConfig& cfg,
       lat[t].reserve(frames.size() / cfg.threads + 1);
       for (size_t f = t; f < frames.size(); f += cfg.threads) {
         auto t0 = Clock::now();
-        Bytes reply_frame = server->Handle(frames[f]);
+        Bytes reply_frame = Dispatch(*server, frames[f]);
         lat[t].push_back(static_cast<uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0).count()));
         FpQueryReply reply;

@@ -90,7 +90,7 @@ void Run(int argc, char** argv) {
             d->Acquire(req.size());  // container write-through
           }
           q->Acquire(req.size());  // index/fp processing
-          return server->Handle(req);
+          return Dispatch(*server, req);
         };
         transports.push_back(std::make_unique<InProcTransport>(
             std::move(handler), std::vector<RateLimiter*>{nic, ingress[i]},

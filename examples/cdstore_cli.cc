@@ -702,7 +702,7 @@ int RunCommand(const std::string& cmd, int argc, char** argv, Deployment& d, Use
     }
     bool first = true;
     for (int i = 0; i < kN; ++i) {
-      Bytes frame = d.servers[i]->Handle(Encode(StatsRequest{}));
+      Bytes frame = Dispatch(*d.servers[i], Encode(StatsRequest{}));
       StatsReply stats;
       if (!Decode(frame, &stats).ok()) {
         continue;

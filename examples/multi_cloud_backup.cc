@@ -89,7 +89,7 @@ int main() {
   }
 
   // Server-side view: inter-user dedup.
-  Bytes frame = servers[0]->Handle(Encode(StatsRequest{}));
+  Bytes frame = Dispatch(*servers[0], Encode(StatsRequest{}));
   StatsReply stats;
   (void)Decode(frame, &stats);
   std::printf("\nCloud 0 stores %llu unique shares, %s physical, %llu containers, "

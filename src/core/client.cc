@@ -147,6 +147,15 @@ Result<Bytes> CdstoreClient::CallCloud(int cloud, const Bytes& frame) {
   return t->Call(*wire);
 }
 
+template <class Reply, class Request>
+Result<Reply> CdstoreClient::CallTyped(int cloud, const Request& request) {
+  ASSIGN_OR_RETURN(Bytes frame, CallCloud(cloud, Encode(request)));
+  RETURN_IF_ERROR(DecodeIfError(frame));
+  Reply reply;
+  RETURN_IF_ERROR(Decode(frame, &reply));
+  return reply;
+}
+
 void CdstoreClient::CountCloud(const char* name, int cloud, uint64_t delta) {
   if (opts_.metrics == nullptr || delta == 0) {
     return;
@@ -498,10 +507,7 @@ Status CdstoreClient::StreamUploadToCloud(int cloud, int consumer, const Bytes& 
       // The async hop loses the thread-local trace parent; re-install the
       // launcher's so the transfer RPC nests under this lane's span.
       ScopedTraceParent trace_parent(ctx);
-      ASSIGN_OR_RETURN(Bytes frame, CallCloud(cloud, Encode(*req)));
-      RETURN_IF_ERROR(DecodeIfError(frame));
-      UploadSharesReply r;
-      return Decode(frame, &r);
+      return CallTyped<UploadSharesReply>(cloud, *req).status();
     });
     return Status::Ok();
   };
@@ -515,7 +521,7 @@ Status CdstoreClient::StreamUploadToCloud(int cloud, int consumer, const Bytes& 
   struct QueryWindow {
     std::vector<Bytes> shares;
     std::vector<Fingerprint> fps;
-    std::future<Result<Bytes>> reply_frame;
+    std::future<Result<FpQueryReply>> reply;
   };
   std::vector<Bytes> pending_shares;
   size_t pending_base = 0;
@@ -544,12 +550,11 @@ Status CdstoreClient::StreamUploadToCloud(int cloud, int consumer, const Bytes& 
     query.user = user_;
     query.fps = w.fps;
     ++rpcs;
-    w.reply_frame =
-        std::async(std::launch::async, [this, cloud, query = std::move(query),
-                                        ctx = CurrentTraceContext()]() {
-          ScopedTraceParent trace_parent(ctx);
-          return CallCloud(cloud, Encode(query));
-        });
+    w.reply = std::async(std::launch::async, [this, cloud, query = std::move(query),
+                                              ctx = CurrentTraceContext()]() {
+      ScopedTraceParent trace_parent(ctx);
+      return CallTyped<FpQueryReply>(cloud, query);
+    });
     query_windows.push_back(std::move(w));
     pending_shares.clear();
     pending_base = recipe.size();
@@ -561,10 +566,7 @@ Status CdstoreClient::StreamUploadToCloud(int cloud, int consumer, const Bytes& 
   auto settle_query = [&]() -> Status {
     QueryWindow w = std::move(query_windows.front());
     query_windows.pop_front();
-    ASSIGN_OR_RETURN(Bytes reply_frame, w.reply_frame.get());
-    RETURN_IF_ERROR(DecodeIfError(reply_frame));
-    FpQueryReply reply;
-    RETURN_IF_ERROR(Decode(reply_frame, &reply));
+    ASSIGN_OR_RETURN(FpQueryReply reply, w.reply.get());
     if (reply.duplicate.size() != w.fps.size()) {
       return Status::Internal("fp query reply arity mismatch");
     }
@@ -643,16 +645,11 @@ Status CdstoreClient::StreamUploadToCloud(int cloud, int consumer, const Bytes& 
     put.timestamp_ms = fopts->timestamp_ms;
     put.recipe = std::move(recipe);
     ++rpcs;
-    st = [&]() -> Status {
-      ASSIGN_OR_RETURN(Bytes frame, CallCloud(cloud, Encode(put)));
-      RETURN_IF_ERROR(DecodeIfError(frame));
-      PutFileReply put_reply;
-      RETURN_IF_ERROR(Decode(frame, &put_reply));
-      if (bound_generation != nullptr) {
-        *bound_generation = put_reply.generation_id;
-      }
-      return Status::Ok();
-    }();
+    auto put_reply = CallTyped<PutFileReply>(cloud, put);
+    st = put_reply.status();
+    if (st.ok() && bound_generation != nullptr) {
+      *bound_generation = put_reply.value().generation_id;
+    }
   }
   if (!st.ok()) {
     in->Detach(consumer);
@@ -692,10 +689,7 @@ Status CdstoreClient::UploadToCloud(int cloud, const Bytes& path_key, const Byte
     query.fps.push_back(e.fp);
   }
   ++rpcs;
-  ASSIGN_OR_RETURN(Bytes reply_frame, CallCloud(cloud, Encode(query)));
-  RETURN_IF_ERROR(DecodeIfError(reply_frame));
-  FpQueryReply query_reply;
-  RETURN_IF_ERROR(Decode(reply_frame, &query_reply));
+  ASSIGN_OR_RETURN(FpQueryReply query_reply, CallTyped<FpQueryReply>(cloud, query));
   if (query_reply.duplicate.size() != recipe.size()) {
     return Status::Internal("fp query reply arity mismatch");
   }
@@ -724,10 +718,7 @@ Status CdstoreClient::UploadToCloud(int cloud, const Bytes& path_key, const Byte
       return Status::Ok();
     }
     ++rpcs;
-    ASSIGN_OR_RETURN(Bytes frame, CallCloud(cloud, Encode(batch)));
-    RETURN_IF_ERROR(DecodeIfError(frame));
-    UploadSharesReply r;
-    RETURN_IF_ERROR(Decode(frame, &r));
+    RETURN_IF_ERROR(CallTyped<UploadSharesReply>(cloud, batch).status());
     batch.shares.clear();
     batch_bytes = 0;
     return Status::Ok();
@@ -757,10 +748,7 @@ Status CdstoreClient::UploadToCloud(int cloud, const Bytes& path_key, const Byte
   put.timestamp_ms = fopts.timestamp_ms;
   put.recipe = recipe;
   ++rpcs;
-  ASSIGN_OR_RETURN(Bytes frame, CallCloud(cloud, Encode(put)));
-  RETURN_IF_ERROR(DecodeIfError(frame));
-  PutFileReply put_reply;
-  RETURN_IF_ERROR(Decode(frame, &put_reply));
+  ASSIGN_OR_RETURN(PutFileReply put_reply, CallTyped<PutFileReply>(cloud, put));
   if (bound_generation != nullptr) {
     *bound_generation = put_reply.generation_id;
   }
@@ -867,11 +855,7 @@ Result<GetFileReply> CdstoreClient::FetchRecipe(int cloud, const Bytes& path_key
   req.user = user_;
   req.path_key = path_key;
   req.generation = generation;
-  ASSIGN_OR_RETURN(Bytes frame, CallCloud(cloud, Encode(req)));
-  RETURN_IF_ERROR(DecodeIfError(frame));
-  GetFileReply reply;
-  RETURN_IF_ERROR(Decode(frame, &reply));
-  return reply;
+  return CallTyped<GetFileReply>(cloud, req);
 }
 
 Result<CdstoreClient::FetchedShares> CdstoreClient::FetchShares(
@@ -1477,8 +1461,7 @@ Status CdstoreClient::DeleteFile(const std::string& path_name) {
     DeleteFileRequest req;
     req.user = user_;
     req.path_key = path_keys[i];
-    auto frame = CallCloud(i, Encode(req));
-    Status st = frame.ok() ? DecodeIfError(frame.value()) : frame.status();
+    Status st = CallTyped<DeleteFileReply>(i, req).status();
     if (!st.ok() && first_error.ok()) {
       first_error = st;
     }
@@ -1497,24 +1480,15 @@ Result<std::vector<VersionInfo>> CdstoreClient::ListVersions(const std::string& 
     ListVersionsRequest req;
     req.user = user_;
     req.path_key = path_keys[i];
-    auto frame = CallCloud(i, Encode(req));
-    if (!frame.ok()) {
-      last_error = frame.status();
-      continue;
-    }
-    if (Status st = DecodeIfError(frame.value()); !st.ok()) {
+    auto reply = CallTyped<ListVersionsReply>(i, req);
+    if (!reply.ok()) {
       // Keep probing: a NotFound here may be one cloud's lost index, not
       // the path's absence. If EVERY cloud says NotFound, that status is
       // what the caller receives.
-      last_error = st;
+      last_error = reply.status();
       continue;
     }
-    ListVersionsReply reply;
-    if (Status st = Decode(frame.value(), &reply); !st.ok()) {
-      last_error = st;
-      continue;
-    }
-    return std::move(reply.versions);
+    return std::move(reply.value().versions);
   }
   return last_error;
 }
@@ -1527,8 +1501,7 @@ Status CdstoreClient::DeleteVersion(const std::string& path_name, uint64_t gener
     req.user = user_;
     req.path_key = path_keys[i];
     req.generation_id = generation;
-    auto frame = CallCloud(i, Encode(req));
-    Status st = frame.ok() ? DecodeIfError(frame.value()) : frame.status();
+    Status st = CallTyped<DeleteVersionReply>(i, req).status();
     if (!st.ok() && first_error.ok()) {
       first_error = st;
     }
@@ -1547,18 +1520,14 @@ Result<ApplyRetentionReply> CdstoreClient::ApplyRetention(const std::string& pat
     req.user = user_;
     req.path_key = path_keys[i];
     req.policy = policy;
-    auto frame = CallCloud(i, Encode(req));
-    Status st = frame.ok() ? DecodeIfError(frame.value()) : frame.status();
-    if (st.ok() && !have_summary) {
-      ApplyRetentionReply reply;
-      st = Decode(frame.value(), &reply);
-      if (st.ok()) {
-        summary = std::move(reply);
-        have_summary = true;
+    auto reply = CallTyped<ApplyRetentionReply>(i, req);
+    if (!reply.ok()) {
+      if (first_error.ok()) {
+        first_error = reply.status();
       }
-    }
-    if (!st.ok() && first_error.ok()) {
-      first_error = st;
+    } else if (!have_summary) {
+      summary = std::move(reply.value());
+      have_summary = true;
     }
   }
   RETURN_IF_ERROR(first_error);
@@ -1594,11 +1563,7 @@ Result<ListPathsReply> CdstoreClient::ListPathsPage(int cloud, ConstByteSpan cur
   req.user = user_;
   req.cursor.assign(cursor.begin(), cursor.end());
   req.max_entries = max_entries;
-  ASSIGN_OR_RETURN(Bytes frame, CallCloud(cloud, Encode(req)));
-  RETURN_IF_ERROR(DecodeIfError(frame));
-  ListPathsReply reply;
-  RETURN_IF_ERROR(Decode(frame, &reply));
-  return reply;
+  return CallTyped<ListPathsReply>(cloud, req);
 }
 
 Result<NamespaceListing> CdstoreClient::ListPaths(uint32_t page_size) {
@@ -1715,18 +1680,14 @@ Result<ApplyRetentionNamespaceReply> CdstoreClient::ApplyRetentionNamespace(
     req.user = user_;
     req.policy = policy;
     req.page_size = page_size;
-    auto frame = CallCloud(i, Encode(req));
-    Status st = frame.ok() ? DecodeIfError(frame.value()) : frame.status();
-    if (st.ok() && !have_summary) {
-      ApplyRetentionNamespaceReply reply;
-      st = Decode(frame.value(), &reply);
-      if (st.ok()) {
-        summary = std::move(reply);
-        have_summary = true;
+    auto reply = CallTyped<ApplyRetentionNamespaceReply>(i, req);
+    if (!reply.ok()) {
+      if (first_error.ok()) {
+        first_error = reply.status();
       }
-    }
-    if (!st.ok() && first_error.ok()) {
-      first_error = st;
+    } else if (!have_summary) {
+      summary = std::move(reply.value());
+      have_summary = true;
     }
   }
   RETURN_IF_ERROR(first_error);

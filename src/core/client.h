@@ -430,6 +430,10 @@ class CdstoreClient {
   // cdstore_client_rpc_latency_ns{cloud=,rpc=}. With metrics off this is
   // exactly transports_[cloud]->Call(frame).
   Result<Bytes> CallCloud(int cloud, const Bytes& frame);
+  // One typed RPC: CallCloud, then the carried error or the decoded Reply.
+  // A reply of another type or a malformed one is an error, never success.
+  template <class Reply, class Request>
+  Result<Reply> CallTyped(int cloud, const Request& request);
   // Per-cloud counter with a {cloud="<id>"} label; no-op when metrics are
   // off or delta is 0.
   void CountCloud(const char* name, int cloud, uint64_t delta);

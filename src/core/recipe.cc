@@ -7,32 +7,15 @@ namespace cdstore {
 Bytes FileRecipe::Serialize() const {
   BufferWriter w;
   w.PutU64(file_size);
-  w.PutVarint(entries.size());
-  for (const RecipeEntry& e : entries) {
-    w.PutBytes(e.fp);
-    w.PutU32(e.secret_size);
-    w.PutU32(e.share_size);
-  }
+  PutRecipeEntries(&w, entries);
   return w.Take();
 }
 
 Result<FileRecipe> FileRecipe::Deserialize(ConstByteSpan data) {
   FileRecipe recipe;
   BufferReader r(data);
-  uint64_t count = 0;
   RETURN_IF_ERROR(r.GetU64(&recipe.file_size));
-  RETURN_IF_ERROR(r.GetVarint(&count));
-  if (count > r.remaining()) {
-    return Status::Corruption("recipe entry count exceeds blob");
-  }
-  recipe.entries.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    RecipeEntry e;
-    RETURN_IF_ERROR(r.GetBytes(&e.fp));
-    RETURN_IF_ERROR(r.GetU32(&e.secret_size));
-    RETURN_IF_ERROR(r.GetU32(&e.share_size));
-    recipe.entries.push_back(std::move(e));
-  }
+  RETURN_IF_ERROR(GetRecipeEntries(&r, &recipe.entries));
   return recipe;
 }
 

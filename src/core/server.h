@@ -132,9 +132,6 @@ class CdstoreServer : public ServerService {
   // tracer, and the default GetTraces implementation dumps it.
   Tracer* tracer() override { return options_.tracer; }
 
-  // Frame-level entry point, now a thin shim over Dispatch(). Thread-safe.
-  Bytes Handle(ConstByteSpan request) { return Dispatch(*this, request); }
-
   // Convenience adapter for Transport construction.
   RpcHandler AsHandler() { return ServiceHandler(this); }
 

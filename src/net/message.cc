@@ -1,100 +1,471 @@
 #include "src/net/message.h"
 
-#include "src/util/io.h"
+#include <concepts>
+#include <iterator>
+#include <type_traits>
+#include <utility>
 
 namespace cdstore {
 
 namespace {
 
-BufferWriter Begin(MsgType type) {
-  BufferWriter w;
-  w.PutU8(static_cast<uint8_t>(type));
-  return w;
+// ---- field kinds -----------------------------------------------------------
+//
+// A field list (the Fields overloads below) names a message's fields in wire
+// order. Writer appends them to a frame and Reader parses them back, so one
+// list drives Encode, Decode and the zero-copy view decodes. Integers are
+// fixed-width little-endian unless wrapped in AsVarint/AsVarints; byte
+// strings, strings and lists carry a varint length.
+
+// A u64 field carried as a LEB128 varint, and a list of such.
+struct AsVarint {
+  uint64_t& v;
+};
+struct AsVarints {
+  std::vector<uint64_t>& v;
+};
+
+// A list field whose elements are appended one by one after the frame is
+// begun: only its length is written (the streamed GetShares reply).
+struct ListLength {
+  uint64_t n = 0;
+};
+
+// Largest valid value of each enum the protocol carries.
+constexpr PutFileMode EnumMax(PutFileMode) { return PutFileMode::kPutGeneration; }
+
+// Appends fields to a frame.
+class Writer {
+ public:
+  explicit Writer(BufferWriter& out) : out_(out) {}
+
+  // A field list: each field in order, led by the message's tag.
+  template <class... Fs>
+    requires(sizeof...(Fs) > 1)
+  void operator()(Fs&&... fields) {
+    ((*this)(fields), ...);
+  }
+  void operator()(MsgType tag) { out_.PutU8(static_cast<uint8_t>(tag)); }
+  void operator()(uint8_t& v) { out_.PutU8(v); }
+  void operator()(uint32_t& v) { out_.PutU32(v); }
+  void operator()(uint64_t& v) { out_.PutU64(v); }
+  void operator()(int64_t& v) { out_.PutU64(static_cast<uint64_t>(v)); }
+  void operator()(AsVarint f) { out_.PutVarint(f.v); }
+  void operator()(Bytes& b) { out_.PutBytes(b); }
+  void operator()(ConstByteSpan b) { out_.PutBytes(b); }
+  void operator()(std::string& s) { out_.PutString(s); }
+  void operator()(ListLength l) { out_.PutVarint(l.n); }
+
+  template <class E>
+    requires std::is_enum_v<E>
+  void operator()(E& e) {
+    out_.PutU8(static_cast<uint8_t>(e));
+  }
+
+  template <class T>
+  void operator()(std::vector<T>& list) {
+    out_.PutVarint(list.size());
+    for (T& e : list) {
+      (*this)(e);
+    }
+  }
+
+  void operator()(AsVarints f) {
+    out_.PutVarint(f.v.size());
+    for (uint64_t& e : f.v) {
+      (*this)(AsVarint{e});
+    }
+  }
+
+  // A nested struct or pair: its own field list, without a tag.
+  template <class T>
+  void operator()(T& nested) {
+    Fields(*this, nested);
+  }
+
+ private:
+  BufferWriter& out_;
+};
+
+// Parses fields out of a frame. The first failure sticks: later fields are
+// skipped and status() reports it.
+class Reader {
+ public:
+  explicit Reader(BufferReader& in) : in_(in) {}
+
+  const Status& status() const { return st_; }
+
+  template <class... Fs>
+    requires(sizeof...(Fs) > 1)
+  void operator()(Fs&&... fields) {
+    ((*this)(fields), ...);
+  }
+  void operator()(MsgType tag) {
+    uint8_t t = 0;
+    (*this)(t);
+    if (st_.ok() && t != static_cast<uint8_t>(tag)) {
+      st_ = Status::InvalidArgument("unexpected message type");
+    }
+  }
+  void operator()(uint8_t& v) { Get(&BufferReader::GetU8, &v); }
+  void operator()(uint32_t& v) { Get(&BufferReader::GetU32, &v); }
+  void operator()(uint64_t& v) { Get(&BufferReader::GetU64, &v); }
+  void operator()(int64_t& v) {
+    uint64_t raw = 0;
+    (*this)(raw);
+    v = static_cast<int64_t>(raw);
+  }
+  void operator()(AsVarint f) { Get(&BufferReader::GetVarint, &f.v); }
+  void operator()(Bytes& b) { Get(&BufferReader::GetBytes, &b); }
+  void operator()(ConstByteSpan& b) { Get(&BufferReader::GetBytesView, &b); }
+  void operator()(std::string& s) { Get(&BufferReader::GetString, &s); }
+
+  template <class E>
+    requires std::is_enum_v<E>
+  void operator()(E& e) {
+    uint8_t raw = 0;
+    (*this)(raw);
+    if (st_.ok() && raw > static_cast<uint8_t>(EnumMax(e))) {
+      st_ = Status::InvalidArgument("enum value out of range");
+    }
+    e = static_cast<E>(raw);
+  }
+
+  template <class T>
+  void operator()(std::vector<T>& list) {
+    ReadList(list, [this](T& e) { (*this)(e); });
+  }
+
+  void operator()(AsVarints f) {
+    ReadList(f.v, [this](uint64_t& e) { (*this)(AsVarint{e}); });
+  }
+
+  template <class T>
+  void operator()(T& nested) {
+    Fields(*this, nested);
+  }
+
+ private:
+  template <class T>
+  void Get(Status (BufferReader::*get)(T*), T* v) {
+    if (st_.ok()) {
+      st_ = (in_.*get)(v);
+    }
+  }
+
+  template <class T, class Each>
+  void ReadList(std::vector<T>& list, Each each) {
+    uint64_t count = 0;
+    (*this)(AsVarint{count});
+    // Every element takes at least one byte, so a larger count is corrupt;
+    // checking first bounds the reserve by the frame size.
+    if (st_.ok() && count > in_.remaining()) {
+      st_ = Status::Corruption("list count exceeds frame");
+    }
+    if (!st_.ok()) {
+      return;
+    }
+    list.clear();
+    list.reserve(count);
+    for (uint64_t i = 0; i < count && st_.ok(); ++i) {
+      each(list.emplace_back());
+    }
+  }
+
+  BufferReader& in_;
+  Status st_;
+};
+
+// ---- field lists -----------------------------------------------------------
+//
+// One per message, in wire order. A request or reply starts with its
+// MsgType tag; nested structs have none.
+
+template <class M, class... Ts>
+concept OneOf = (std::same_as<M, Ts> || ...);
+
+template <class V, class A, class B>
+void Fields(V& v, std::pair<A, B>& m) {
+  v(m.first, m.second);
 }
 
-Status CheckType(BufferReader* r, MsgType expect) {
-  uint8_t t = 0;
-  RETURN_IF_ERROR(r->GetU8(&t));
-  if (t != static_cast<uint8_t>(expect)) {
-    return Status::InvalidArgument("unexpected message type");
-  }
-  return Status::Ok();
+template <class V>
+void Fields(V& v, RecipeEntry& m) {
+  v(m.fp, m.secret_size, m.share_size);
 }
 
-void PutFpList(BufferWriter* w, const std::vector<Fingerprint>& fps) {
-  w->PutVarint(fps.size());
-  for (const Fingerprint& fp : fps) {
-    w->PutBytes(fp);
-  }
+template <class V>
+void Fields(V& v, VersionInfo& m) {
+  v(m.generation_id, m.logical_bytes, m.unique_bytes, m.num_secrets, m.timestamp_ms);
 }
 
-Status GetFpList(BufferReader* r, std::vector<Fingerprint>* fps) {
-  uint64_t count = 0;
-  RETURN_IF_ERROR(r->GetVarint(&count));
-  if (count > r->remaining()) {
-    return Status::Corruption("fp count exceeds frame");
-  }
-  fps->clear();
-  fps->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    Fingerprint fp;
-    RETURN_IF_ERROR(r->GetBytes(&fp));
-    fps->push_back(std::move(fp));
-  }
-  return Status::Ok();
+template <class V>
+void Fields(V& v, RetentionPolicy& m) {
+  v(m.keep_last_n, m.keep_within_ms, m.now_ms);
 }
 
-void PutBlobList(BufferWriter* w, const std::vector<Bytes>& blobs) {
-  w->PutVarint(blobs.size());
-  for (const Bytes& b : blobs) {
-    w->PutBytes(b);
-  }
+template <class V>
+void Fields(V& v, PathInfo& m) {
+  v(m.path_id, m.name_share, m.name_len, m.latest_generation, m.generation_count,
+    m.latest_timestamp_ms, m.latest_logical_bytes);
 }
 
-Status GetBlobList(BufferReader* r, std::vector<Bytes>* blobs) {
-  uint64_t count = 0;
-  RETURN_IF_ERROR(r->GetVarint(&count));
-  if (count > r->remaining()) {
-    return Status::Corruption("blob count exceeds frame");
-  }
-  blobs->clear();
-  blobs->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    Bytes b;
-    RETURN_IF_ERROR(r->GetBytes(&b));
-    blobs->push_back(std::move(b));
-  }
-  return Status::Ok();
+template <class V>
+void Fields(V& v, PathRetentionResult& m) {
+  v(m.path_id, m.generations_deleted, m.logical_bytes_deleted, m.path_removed);
 }
 
-void PutRecipe(BufferWriter* w, const std::vector<RecipeEntry>& recipe) {
-  w->PutVarint(recipe.size());
-  for (const RecipeEntry& e : recipe) {
-    w->PutBytes(e.fp);
-    w->PutU32(e.secret_size);
-    w->PutU32(e.share_size);
-  }
+template <class V>
+void Fields(V& v, MetricSample& m) {
+  v(m.name, m.kind, m.labels, m.value, AsVarint{m.count}, AsVarint{m.sum}, AsVarints{m.bounds},
+    AsVarints{m.bucket_counts});
 }
 
-Status GetRecipe(BufferReader* r, std::vector<RecipeEntry>* recipe) {
-  uint64_t count = 0;
-  RETURN_IF_ERROR(r->GetVarint(&count));
-  if (count > r->remaining()) {
-    return Status::Corruption("recipe count exceeds frame");
-  }
-  recipe->clear();
-  recipe->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    RecipeEntry e;
-    RETURN_IF_ERROR(r->GetBytes(&e.fp));
-    RETURN_IF_ERROR(r->GetU32(&e.secret_size));
-    RETURN_IF_ERROR(r->GetU32(&e.share_size));
-    recipe->push_back(std::move(e));
-  }
-  return Status::Ok();
+template <class V>
+void Fields(V& v, TraceSpanSample& m) {
+  v(m.trace_id, m.span_id, m.parent_id, m.start_ns, m.dur_ns, m.tid, m.name, m.annot);
+}
+
+template <class V>
+void Fields(V& v, SlowTraceSample& m) {
+  v(m.trace_id, m.dur_ns, m.sampled, m.root);
+}
+
+template <class V>
+void Fields(V& v, FpQueryRequest& m) {
+  v(MsgType::kFpQueryRequest, m.user, m.fps);
+}
+
+template <class V>
+void Fields(V& v, FpQueryReply& m) {
+  v(MsgType::kFpQueryReply, m.duplicate);
+}
+
+template <class V, OneOf<UploadSharesRequest, UploadSharesRequestView> M>
+void Fields(V& v, M& m) {
+  v(MsgType::kUploadSharesRequest, m.user, m.shares);
+}
+
+template <class V>
+void Fields(V& v, UploadSharesReply& m) {
+  v(MsgType::kUploadSharesReply, m.stored, m.deduplicated);
+}
+
+template <class V>
+void Fields(V& v, PutFileRequest& m) {
+  v(MsgType::kPutFileRequest, m.user, m.path_key, m.path_id, m.path_name_len, m.file_size,
+    m.mode, m.generation_id, m.timestamp_ms, m.recipe);
+}
+
+template <class V>
+void Fields(V& v, PutFileReply& m) {
+  v(MsgType::kPutFileReply, m.generation_id);
+}
+
+template <class V>
+void Fields(V& v, GetFileRequest& m) {
+  v(MsgType::kGetFileRequest, m.user, m.path_key, m.generation);
+}
+
+template <class V>
+void Fields(V& v, GetFileReply& m) {
+  v(MsgType::kGetFileReply, m.generation_id, m.file_size, m.recipe);
+}
+
+template <class V>
+void Fields(V& v, GetSharesRequest& m) {
+  v(MsgType::kGetSharesRequest, m.user, m.fps);
+}
+
+// The streamed reply's header: a GetSharesReply whose list is only begun.
+struct GetSharesReplyHeader {
+  ListLength shares;
+};
+
+template <class V, OneOf<GetSharesReply, GetSharesReplyView, GetSharesReplyHeader> M>
+void Fields(V& v, M& m) {
+  v(MsgType::kGetSharesReply, m.shares);
+}
+
+template <class V>
+void Fields(V& v, DeleteFileRequest& m) {
+  v(MsgType::kDeleteFileRequest, m.user, m.path_key);
+}
+
+template <class V>
+void Fields(V& v, DeleteFileReply& m) {
+  v(MsgType::kDeleteFileReply, m.generations_deleted, m.shares_orphaned);
+}
+
+template <class V>
+void Fields(V& v, StatsRequest&) {
+  v(MsgType::kStatsRequest);
+}
+
+template <class V>
+void Fields(V& v, StatsReply& m) {
+  v(MsgType::kStatsReply, m.unique_shares, m.stored_bytes, m.container_count, m.file_count,
+    m.generation_count);
+}
+
+template <class V>
+void Fields(V& v, GcRequest&) {
+  v(MsgType::kGcRequest);
+}
+
+template <class V>
+void Fields(V& v, GcReply& m) {
+  v(MsgType::kGcReply, m.containers_scanned, m.containers_rewritten, m.bytes_reclaimed,
+    m.live_shares_moved);
+}
+
+template <class V>
+void Fields(V& v, ListVersionsRequest& m) {
+  v(MsgType::kListVersionsRequest, m.user, m.path_key);
+}
+
+template <class V>
+void Fields(V& v, ListVersionsReply& m) {
+  v(MsgType::kListVersionsReply, m.versions);
+}
+
+template <class V>
+void Fields(V& v, DeleteVersionRequest& m) {
+  v(MsgType::kDeleteVersionRequest, m.user, m.path_key, m.generation_id);
+}
+
+template <class V>
+void Fields(V& v, DeleteVersionReply& m) {
+  v(MsgType::kDeleteVersionReply, m.shares_orphaned);
+}
+
+template <class V>
+void Fields(V& v, ApplyRetentionRequest& m) {
+  v(MsgType::kApplyRetentionRequest, m.user, m.path_key, m.policy);
+}
+
+template <class V>
+void Fields(V& v, ApplyRetentionReply& m) {
+  v(MsgType::kApplyRetentionReply, m.generations_deleted, m.shares_orphaned,
+    m.logical_bytes_deleted, m.deleted_generations);
+}
+
+template <class V>
+void Fields(V& v, ListPathsRequest& m) {
+  v(MsgType::kListPathsRequest, m.user, m.cursor, m.max_entries);
+}
+
+template <class V>
+void Fields(V& v, ListPathsReply& m) {
+  v(MsgType::kListPathsReply, m.paths, m.next_cursor);
+}
+
+template <class V>
+void Fields(V& v, ApplyRetentionNamespaceRequest& m) {
+  v(MsgType::kApplyRetentionNamespaceRequest, m.user, m.policy, m.page_size);
+}
+
+template <class V>
+void Fields(V& v, ApplyRetentionNamespaceReply& m) {
+  v(MsgType::kApplyRetentionNamespaceReply, m.paths_swept, m.paths_removed,
+    m.generations_deleted, m.shares_orphaned, m.logical_bytes_deleted, m.pages, m.per_path);
+}
+
+template <class V>
+void Fields(V& v, GetMetricsRequest&) {
+  v(MsgType::kGetMetricsRequest);
+}
+
+template <class V>
+void Fields(V& v, GetMetricsReply& m) {
+  v(MsgType::kGetMetricsReply, m.samples);
+}
+
+template <class V>
+void Fields(V& v, GetTracesRequest&) {
+  v(MsgType::kGetTracesRequest);
+}
+
+template <class V>
+void Fields(V& v, GetTracesReply& m) {
+  v(MsgType::kGetTracesReply, m.spans, m.slow, AsVarint{m.spans_recorded},
+    AsVarint{m.spans_dropped}, AsVarint{m.unsampled}, AsVarint{m.flight_evictions});
+}
+
+// The kTracedRequest envelope's header; the inner frame follows verbatim.
+template <class V>
+void Fields(V& v, TraceContextHeader& m) {
+  v(MsgType::kTracedRequest, m.trace_id, m.parent_span_id, m.sampled);
+}
+
+struct ErrorFrame {
+  uint8_t code = 0;
+  std::string message;
+};
+
+template <class V>
+void Fields(V& v, ErrorFrame& m) {
+  v(MsgType::kError, m.code, m.message);
 }
 
 }  // namespace
+
+// ---- codec -----------------------------------------------------------------
+
+template <class M>
+Bytes Encode(const M& m) {
+  BufferWriter out;
+  Writer w(out);
+  // The writer only reads; the lists take non-const references so that one
+  // list serves both directions.
+  Fields(w, const_cast<M&>(m));
+  return out.Take();
+}
+
+template <class M>
+Status Decode(ConstByteSpan frame, M* m) {
+  BufferReader in(frame);
+  Reader r(in);
+  Fields(r, *m);
+  return r.status();
+}
+
+#define CDSTORE_WIRE_MESSAGE(M)          \
+  template Bytes Encode(const M& m);     \
+  template Status Decode(ConstByteSpan frame, M* m);
+CDSTORE_WIRE_MESSAGE(FpQueryRequest)
+CDSTORE_WIRE_MESSAGE(FpQueryReply)
+CDSTORE_WIRE_MESSAGE(UploadSharesRequest)
+CDSTORE_WIRE_MESSAGE(UploadSharesRequestView)
+CDSTORE_WIRE_MESSAGE(UploadSharesReply)
+CDSTORE_WIRE_MESSAGE(PutFileRequest)
+CDSTORE_WIRE_MESSAGE(PutFileReply)
+CDSTORE_WIRE_MESSAGE(GetFileRequest)
+CDSTORE_WIRE_MESSAGE(GetFileReply)
+CDSTORE_WIRE_MESSAGE(GetSharesRequest)
+CDSTORE_WIRE_MESSAGE(GetSharesReply)
+CDSTORE_WIRE_MESSAGE(GetSharesReplyView)
+CDSTORE_WIRE_MESSAGE(DeleteFileRequest)
+CDSTORE_WIRE_MESSAGE(DeleteFileReply)
+CDSTORE_WIRE_MESSAGE(StatsRequest)
+CDSTORE_WIRE_MESSAGE(StatsReply)
+CDSTORE_WIRE_MESSAGE(GcRequest)
+CDSTORE_WIRE_MESSAGE(GcReply)
+CDSTORE_WIRE_MESSAGE(ListVersionsRequest)
+CDSTORE_WIRE_MESSAGE(ListVersionsReply)
+CDSTORE_WIRE_MESSAGE(DeleteVersionRequest)
+CDSTORE_WIRE_MESSAGE(DeleteVersionReply)
+CDSTORE_WIRE_MESSAGE(ApplyRetentionRequest)
+CDSTORE_WIRE_MESSAGE(ApplyRetentionReply)
+CDSTORE_WIRE_MESSAGE(ListPathsRequest)
+CDSTORE_WIRE_MESSAGE(ListPathsReply)
+CDSTORE_WIRE_MESSAGE(ApplyRetentionNamespaceRequest)
+CDSTORE_WIRE_MESSAGE(ApplyRetentionNamespaceReply)
+CDSTORE_WIRE_MESSAGE(GetMetricsRequest)
+CDSTORE_WIRE_MESSAGE(GetMetricsReply)
+CDSTORE_WIRE_MESSAGE(GetTracesRequest)
+CDSTORE_WIRE_MESSAGE(GetTracesReply)
+#undef CDSTORE_WIRE_MESSAGE
 
 MsgType PeekType(ConstByteSpan frame) {
   if (frame.empty()) {
@@ -103,827 +474,86 @@ MsgType PeekType(ConstByteSpan frame) {
   return static_cast<MsgType>(frame[0]);
 }
 
-// ---- FpQuery --------------------------------------------------------------
-
-Bytes Encode(const FpQueryRequest& m) {
-  BufferWriter w = Begin(MsgType::kFpQueryRequest);
-  w.PutU64(m.user);
-  PutFpList(&w, m.fps);
-  return w.Take();
+BufferWriter BeginGetSharesReply(size_t count) {
+  BufferWriter out;
+  Writer w(out);
+  GetSharesReplyHeader header{ListLength{count}};
+  Fields(w, header);
+  return out;
 }
 
-Status Decode(ConstByteSpan frame, FpQueryRequest* m) {
-  BufferReader r(frame);
-  RETURN_IF_ERROR(CheckType(&r, MsgType::kFpQueryRequest));
-  RETURN_IF_ERROR(r.GetU64(&m->user));
-  return GetFpList(&r, &m->fps);
+void AppendShare(BufferWriter* frame, ConstByteSpan share) {
+  Writer w(*frame);
+  w(share);
 }
 
-Bytes Encode(const FpQueryReply& m) {
-  BufferWriter w = Begin(MsgType::kFpQueryReply);
-  w.PutBytes(m.duplicate);
-  return w.Take();
+void PutRecipeEntries(BufferWriter* out, const std::vector<RecipeEntry>& entries) {
+  Writer w(*out);
+  w(const_cast<std::vector<RecipeEntry>&>(entries));
 }
 
-Status Decode(ConstByteSpan frame, FpQueryReply* m) {
-  BufferReader r(frame);
-  RETURN_IF_ERROR(CheckType(&r, MsgType::kFpQueryReply));
-  return r.GetBytes(&m->duplicate);
-}
-
-// ---- UploadShares ----------------------------------------------------------
-
-Bytes Encode(const UploadSharesRequest& m) {
-  BufferWriter w = Begin(MsgType::kUploadSharesRequest);
-  w.PutU64(m.user);
-  PutBlobList(&w, m.shares);
-  return w.Take();
-}
-
-Status Decode(ConstByteSpan frame, UploadSharesRequest* m) {
-  BufferReader r(frame);
-  RETURN_IF_ERROR(CheckType(&r, MsgType::kUploadSharesRequest));
-  RETURN_IF_ERROR(r.GetU64(&m->user));
-  return GetBlobList(&r, &m->shares);
-}
-
-Status DecodeView(ConstByteSpan frame, UploadSharesRequestView* m) {
-  BufferReader r(frame);
-  RETURN_IF_ERROR(CheckType(&r, MsgType::kUploadSharesRequest));
-  RETURN_IF_ERROR(r.GetU64(&m->user));
-  uint64_t count = 0;
-  RETURN_IF_ERROR(r.GetVarint(&count));
-  if (count > r.remaining()) {
-    return Status::Corruption("blob count exceeds frame");
-  }
-  m->shares.clear();
-  m->shares.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    ConstByteSpan s;
-    RETURN_IF_ERROR(r.GetBytesView(&s));
-    m->shares.push_back(s);
-  }
-  return Status::Ok();
-}
-
-Bytes Encode(const UploadSharesReply& m) {
-  BufferWriter w = Begin(MsgType::kUploadSharesReply);
-  w.PutU32(m.stored);
-  w.PutU32(m.deduplicated);
-  return w.Take();
-}
-
-Status Decode(ConstByteSpan frame, UploadSharesReply* m) {
-  BufferReader r(frame);
-  RETURN_IF_ERROR(CheckType(&r, MsgType::kUploadSharesReply));
-  RETURN_IF_ERROR(r.GetU32(&m->stored));
-  return r.GetU32(&m->deduplicated);
-}
-
-// ---- PutFile ---------------------------------------------------------------
-
-Bytes Encode(const PutFileRequest& m) {
-  BufferWriter w = Begin(MsgType::kPutFileRequest);
-  w.PutU64(m.user);
-  w.PutBytes(m.path_key);
-  w.PutBytes(m.path_id);
-  w.PutU32(m.path_name_len);
-  w.PutU64(m.file_size);
-  w.PutU8(static_cast<uint8_t>(m.mode));
-  w.PutU64(m.generation_id);
-  w.PutU64(m.timestamp_ms);
-  PutRecipe(&w, m.recipe);
-  return w.Take();
-}
-
-Status Decode(ConstByteSpan frame, PutFileRequest* m) {
-  BufferReader r(frame);
-  RETURN_IF_ERROR(CheckType(&r, MsgType::kPutFileRequest));
-  RETURN_IF_ERROR(r.GetU64(&m->user));
-  RETURN_IF_ERROR(r.GetBytes(&m->path_key));
-  RETURN_IF_ERROR(r.GetBytes(&m->path_id));
-  RETURN_IF_ERROR(r.GetU32(&m->path_name_len));
-  RETURN_IF_ERROR(r.GetU64(&m->file_size));
-  uint8_t mode = 0;
-  RETURN_IF_ERROR(r.GetU8(&mode));
-  if (mode > static_cast<uint8_t>(PutFileMode::kPutGeneration)) {
-    return Status::InvalidArgument("unknown PutFile mode");
-  }
-  m->mode = static_cast<PutFileMode>(mode);
-  RETURN_IF_ERROR(r.GetU64(&m->generation_id));
-  RETURN_IF_ERROR(r.GetU64(&m->timestamp_ms));
-  return GetRecipe(&r, &m->recipe);
-}
-
-Bytes Encode(const PutFileReply& m) {
-  BufferWriter w = Begin(MsgType::kPutFileReply);
-  w.PutU64(m.generation_id);
-  return w.Take();
-}
-
-Status Decode(ConstByteSpan frame, PutFileReply* m) {
-  BufferReader r(frame);
-  RETURN_IF_ERROR(CheckType(&r, MsgType::kPutFileReply));
-  return r.GetU64(&m->generation_id);
-}
-
-// ---- GetFile ---------------------------------------------------------------
-
-Bytes Encode(const GetFileRequest& m) {
-  BufferWriter w = Begin(MsgType::kGetFileRequest);
-  w.PutU64(m.user);
-  w.PutBytes(m.path_key);
-  w.PutU64(m.generation);
-  return w.Take();
-}
-
-Status Decode(ConstByteSpan frame, GetFileRequest* m) {
-  BufferReader r(frame);
-  RETURN_IF_ERROR(CheckType(&r, MsgType::kGetFileRequest));
-  RETURN_IF_ERROR(r.GetU64(&m->user));
-  RETURN_IF_ERROR(r.GetBytes(&m->path_key));
-  return r.GetU64(&m->generation);
-}
-
-Bytes Encode(const GetFileReply& m) {
-  BufferWriter w = Begin(MsgType::kGetFileReply);
-  w.PutU64(m.generation_id);
-  w.PutU64(m.file_size);
-  PutRecipe(&w, m.recipe);
-  return w.Take();
-}
-
-Status Decode(ConstByteSpan frame, GetFileReply* m) {
-  BufferReader r(frame);
-  RETURN_IF_ERROR(CheckType(&r, MsgType::kGetFileReply));
-  RETURN_IF_ERROR(r.GetU64(&m->generation_id));
-  RETURN_IF_ERROR(r.GetU64(&m->file_size));
-  return GetRecipe(&r, &m->recipe);
-}
-
-// ---- GetShares -------------------------------------------------------------
-
-Bytes Encode(const GetSharesRequest& m) {
-  BufferWriter w = Begin(MsgType::kGetSharesRequest);
-  w.PutU64(m.user);
-  PutFpList(&w, m.fps);
-  return w.Take();
-}
-
-Status Decode(ConstByteSpan frame, GetSharesRequest* m) {
-  BufferReader r(frame);
-  RETURN_IF_ERROR(CheckType(&r, MsgType::kGetSharesRequest));
-  RETURN_IF_ERROR(r.GetU64(&m->user));
-  return GetFpList(&r, &m->fps);
-}
-
-Bytes Encode(const GetSharesReply& m) {
-  BufferWriter w = Begin(MsgType::kGetSharesReply);
-  PutBlobList(&w, m.shares);
-  return w.Take();
-}
-
-Status Decode(ConstByteSpan frame, GetSharesReply* m) {
-  BufferReader r(frame);
-  RETURN_IF_ERROR(CheckType(&r, MsgType::kGetSharesReply));
-  return GetBlobList(&r, &m->shares);
-}
-
-Status DecodeShareSpans(ConstByteSpan frame, std::vector<ConstByteSpan>* shares) {
-  BufferReader r(frame);
-  RETURN_IF_ERROR(CheckType(&r, MsgType::kGetSharesReply));
-  uint64_t count = 0;
-  RETURN_IF_ERROR(r.GetVarint(&count));
-  if (count > r.remaining()) {
-    return Status::Corruption("blob count exceeds frame");
-  }
-  shares->clear();
-  shares->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    ConstByteSpan s;
-    RETURN_IF_ERROR(r.GetBytesView(&s));
-    shares->push_back(s);
-  }
-  return Status::Ok();
-}
-
-// ---- DeleteFile ------------------------------------------------------------
-
-Bytes Encode(const DeleteFileRequest& m) {
-  BufferWriter w = Begin(MsgType::kDeleteFileRequest);
-  w.PutU64(m.user);
-  w.PutBytes(m.path_key);
-  return w.Take();
-}
-
-Status Decode(ConstByteSpan frame, DeleteFileRequest* m) {
-  BufferReader r(frame);
-  RETURN_IF_ERROR(CheckType(&r, MsgType::kDeleteFileRequest));
-  RETURN_IF_ERROR(r.GetU64(&m->user));
-  return r.GetBytes(&m->path_key);
-}
-
-Bytes Encode(const DeleteFileReply& m) {
-  BufferWriter w = Begin(MsgType::kDeleteFileReply);
-  w.PutU32(m.generations_deleted);
-  w.PutU32(m.shares_orphaned);
-  return w.Take();
-}
-
-Status Decode(ConstByteSpan frame, DeleteFileReply* m) {
-  BufferReader r(frame);
-  RETURN_IF_ERROR(CheckType(&r, MsgType::kDeleteFileReply));
-  RETURN_IF_ERROR(r.GetU32(&m->generations_deleted));
-  return r.GetU32(&m->shares_orphaned);
-}
-
-// ---- versioned namespace ---------------------------------------------------
-
-Bytes Encode(const ListVersionsRequest& m) {
-  BufferWriter w = Begin(MsgType::kListVersionsRequest);
-  w.PutU64(m.user);
-  w.PutBytes(m.path_key);
-  return w.Take();
-}
-
-Status Decode(ConstByteSpan frame, ListVersionsRequest* m) {
-  BufferReader r(frame);
-  RETURN_IF_ERROR(CheckType(&r, MsgType::kListVersionsRequest));
-  RETURN_IF_ERROR(r.GetU64(&m->user));
-  return r.GetBytes(&m->path_key);
-}
-
-Bytes Encode(const ListVersionsReply& m) {
-  BufferWriter w = Begin(MsgType::kListVersionsReply);
-  w.PutVarint(m.versions.size());
-  for (const VersionInfo& v : m.versions) {
-    w.PutU64(v.generation_id);
-    w.PutU64(v.logical_bytes);
-    w.PutU64(v.unique_bytes);
-    w.PutU64(v.num_secrets);
-    w.PutU64(v.timestamp_ms);
-  }
-  return w.Take();
-}
-
-Status Decode(ConstByteSpan frame, ListVersionsReply* m) {
-  BufferReader r(frame);
-  RETURN_IF_ERROR(CheckType(&r, MsgType::kListVersionsReply));
-  uint64_t count = 0;
-  RETURN_IF_ERROR(r.GetVarint(&count));
-  if (count > r.remaining()) {
-    return Status::Corruption("version count exceeds frame");
-  }
-  m->versions.clear();
-  m->versions.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    VersionInfo v;
-    RETURN_IF_ERROR(r.GetU64(&v.generation_id));
-    RETURN_IF_ERROR(r.GetU64(&v.logical_bytes));
-    RETURN_IF_ERROR(r.GetU64(&v.unique_bytes));
-    RETURN_IF_ERROR(r.GetU64(&v.num_secrets));
-    RETURN_IF_ERROR(r.GetU64(&v.timestamp_ms));
-    m->versions.push_back(v);
-  }
-  return Status::Ok();
-}
-
-Bytes Encode(const DeleteVersionRequest& m) {
-  BufferWriter w = Begin(MsgType::kDeleteVersionRequest);
-  w.PutU64(m.user);
-  w.PutBytes(m.path_key);
-  w.PutU64(m.generation_id);
-  return w.Take();
-}
-
-Status Decode(ConstByteSpan frame, DeleteVersionRequest* m) {
-  BufferReader r(frame);
-  RETURN_IF_ERROR(CheckType(&r, MsgType::kDeleteVersionRequest));
-  RETURN_IF_ERROR(r.GetU64(&m->user));
-  RETURN_IF_ERROR(r.GetBytes(&m->path_key));
-  return r.GetU64(&m->generation_id);
-}
-
-Bytes Encode(const DeleteVersionReply& m) {
-  BufferWriter w = Begin(MsgType::kDeleteVersionReply);
-  w.PutU32(m.shares_orphaned);
-  return w.Take();
-}
-
-Status Decode(ConstByteSpan frame, DeleteVersionReply* m) {
-  BufferReader r(frame);
-  RETURN_IF_ERROR(CheckType(&r, MsgType::kDeleteVersionReply));
-  return r.GetU32(&m->shares_orphaned);
-}
-
-Bytes Encode(const ApplyRetentionRequest& m) {
-  BufferWriter w = Begin(MsgType::kApplyRetentionRequest);
-  w.PutU64(m.user);
-  w.PutBytes(m.path_key);
-  w.PutU32(m.policy.keep_last_n);
-  w.PutU64(m.policy.keep_within_ms);
-  w.PutU64(m.policy.now_ms);
-  return w.Take();
-}
-
-Status Decode(ConstByteSpan frame, ApplyRetentionRequest* m) {
-  BufferReader r(frame);
-  RETURN_IF_ERROR(CheckType(&r, MsgType::kApplyRetentionRequest));
-  RETURN_IF_ERROR(r.GetU64(&m->user));
-  RETURN_IF_ERROR(r.GetBytes(&m->path_key));
-  RETURN_IF_ERROR(r.GetU32(&m->policy.keep_last_n));
-  RETURN_IF_ERROR(r.GetU64(&m->policy.keep_within_ms));
-  return r.GetU64(&m->policy.now_ms);
-}
-
-Bytes Encode(const ApplyRetentionReply& m) {
-  BufferWriter w = Begin(MsgType::kApplyRetentionReply);
-  w.PutU32(m.generations_deleted);
-  w.PutU32(m.shares_orphaned);
-  w.PutU64(m.logical_bytes_deleted);
-  w.PutVarint(m.deleted_generations.size());
-  for (uint64_t id : m.deleted_generations) {
-    w.PutU64(id);
-  }
-  return w.Take();
-}
-
-Status Decode(ConstByteSpan frame, ApplyRetentionReply* m) {
-  BufferReader r(frame);
-  RETURN_IF_ERROR(CheckType(&r, MsgType::kApplyRetentionReply));
-  RETURN_IF_ERROR(r.GetU32(&m->generations_deleted));
-  RETURN_IF_ERROR(r.GetU32(&m->shares_orphaned));
-  RETURN_IF_ERROR(r.GetU64(&m->logical_bytes_deleted));
-  uint64_t count = 0;
-  RETURN_IF_ERROR(r.GetVarint(&count));
-  if (count > r.remaining()) {
-    return Status::Corruption("generation count exceeds frame");
-  }
-  m->deleted_generations.clear();
-  m->deleted_generations.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t id = 0;
-    RETURN_IF_ERROR(r.GetU64(&id));
-    m->deleted_generations.push_back(id);
-  }
-  return Status::Ok();
-}
-
-// ---- namespace-scoped control plane ----------------------------------------
-
-Bytes Encode(const ListPathsRequest& m) {
-  BufferWriter w = Begin(MsgType::kListPathsRequest);
-  w.PutU64(m.user);
-  w.PutBytes(m.cursor);
-  w.PutU32(m.max_entries);
-  return w.Take();
-}
-
-Status Decode(ConstByteSpan frame, ListPathsRequest* m) {
-  BufferReader r(frame);
-  RETURN_IF_ERROR(CheckType(&r, MsgType::kListPathsRequest));
-  RETURN_IF_ERROR(r.GetU64(&m->user));
-  RETURN_IF_ERROR(r.GetBytes(&m->cursor));
-  return r.GetU32(&m->max_entries);
-}
-
-Bytes Encode(const ListPathsReply& m) {
-  BufferWriter w = Begin(MsgType::kListPathsReply);
-  w.PutVarint(m.paths.size());
-  for (const PathInfo& p : m.paths) {
-    w.PutBytes(p.path_id);
-    w.PutBytes(p.name_share);
-    w.PutU32(p.name_len);
-    w.PutU64(p.latest_generation);
-    w.PutU64(p.generation_count);
-    w.PutU64(p.latest_timestamp_ms);
-    w.PutU64(p.latest_logical_bytes);
-  }
-  w.PutBytes(m.next_cursor);
-  return w.Take();
-}
-
-Status Decode(ConstByteSpan frame, ListPathsReply* m) {
-  BufferReader r(frame);
-  RETURN_IF_ERROR(CheckType(&r, MsgType::kListPathsReply));
-  uint64_t count = 0;
-  RETURN_IF_ERROR(r.GetVarint(&count));
-  if (count > r.remaining()) {
-    return Status::Corruption("path count exceeds frame");
-  }
-  m->paths.clear();
-  m->paths.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    PathInfo p;
-    RETURN_IF_ERROR(r.GetBytes(&p.path_id));
-    RETURN_IF_ERROR(r.GetBytes(&p.name_share));
-    RETURN_IF_ERROR(r.GetU32(&p.name_len));
-    RETURN_IF_ERROR(r.GetU64(&p.latest_generation));
-    RETURN_IF_ERROR(r.GetU64(&p.generation_count));
-    RETURN_IF_ERROR(r.GetU64(&p.latest_timestamp_ms));
-    RETURN_IF_ERROR(r.GetU64(&p.latest_logical_bytes));
-    m->paths.push_back(std::move(p));
-  }
-  return r.GetBytes(&m->next_cursor);
-}
-
-Bytes Encode(const ApplyRetentionNamespaceRequest& m) {
-  BufferWriter w = Begin(MsgType::kApplyRetentionNamespaceRequest);
-  w.PutU64(m.user);
-  w.PutU32(m.policy.keep_last_n);
-  w.PutU64(m.policy.keep_within_ms);
-  w.PutU64(m.policy.now_ms);
-  w.PutU32(m.page_size);
-  return w.Take();
-}
-
-Status Decode(ConstByteSpan frame, ApplyRetentionNamespaceRequest* m) {
-  BufferReader r(frame);
-  RETURN_IF_ERROR(CheckType(&r, MsgType::kApplyRetentionNamespaceRequest));
-  RETURN_IF_ERROR(r.GetU64(&m->user));
-  RETURN_IF_ERROR(r.GetU32(&m->policy.keep_last_n));
-  RETURN_IF_ERROR(r.GetU64(&m->policy.keep_within_ms));
-  RETURN_IF_ERROR(r.GetU64(&m->policy.now_ms));
-  return r.GetU32(&m->page_size);
-}
-
-Bytes Encode(const ApplyRetentionNamespaceReply& m) {
-  BufferWriter w = Begin(MsgType::kApplyRetentionNamespaceReply);
-  w.PutU64(m.paths_swept);
-  w.PutU64(m.paths_removed);
-  w.PutU64(m.generations_deleted);
-  w.PutU32(m.shares_orphaned);
-  w.PutU64(m.logical_bytes_deleted);
-  w.PutU32(m.pages);
-  w.PutVarint(m.per_path.size());
-  for (const PathRetentionResult& p : m.per_path) {
-    w.PutBytes(p.path_id);
-    w.PutU32(p.generations_deleted);
-    w.PutU64(p.logical_bytes_deleted);
-    w.PutU8(p.path_removed);
-  }
-  return w.Take();
-}
-
-Status Decode(ConstByteSpan frame, ApplyRetentionNamespaceReply* m) {
-  BufferReader r(frame);
-  RETURN_IF_ERROR(CheckType(&r, MsgType::kApplyRetentionNamespaceReply));
-  RETURN_IF_ERROR(r.GetU64(&m->paths_swept));
-  RETURN_IF_ERROR(r.GetU64(&m->paths_removed));
-  RETURN_IF_ERROR(r.GetU64(&m->generations_deleted));
-  RETURN_IF_ERROR(r.GetU32(&m->shares_orphaned));
-  RETURN_IF_ERROR(r.GetU64(&m->logical_bytes_deleted));
-  RETURN_IF_ERROR(r.GetU32(&m->pages));
-  uint64_t count = 0;
-  RETURN_IF_ERROR(r.GetVarint(&count));
-  if (count > r.remaining()) {
-    return Status::Corruption("per-path count exceeds frame");
-  }
-  m->per_path.clear();
-  m->per_path.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    PathRetentionResult p;
-    RETURN_IF_ERROR(r.GetBytes(&p.path_id));
-    RETURN_IF_ERROR(r.GetU32(&p.generations_deleted));
-    RETURN_IF_ERROR(r.GetU64(&p.logical_bytes_deleted));
-    RETURN_IF_ERROR(r.GetU8(&p.path_removed));
-    m->per_path.push_back(std::move(p));
-  }
-  return Status::Ok();
-}
-
-// ---- Stats -----------------------------------------------------------------
-
-Bytes Encode(const StatsRequest&) { return Begin(MsgType::kStatsRequest).Take(); }
-
-Status Decode(ConstByteSpan frame, StatsRequest*) {
-  BufferReader r(frame);
-  return CheckType(&r, MsgType::kStatsRequest);
-}
-
-Bytes Encode(const StatsReply& m) {
-  BufferWriter w = Begin(MsgType::kStatsReply);
-  w.PutU64(m.unique_shares);
-  w.PutU64(m.stored_bytes);
-  w.PutU64(m.container_count);
-  w.PutU64(m.file_count);
-  w.PutU64(m.generation_count);
-  return w.Take();
-}
-
-Status Decode(ConstByteSpan frame, StatsReply* m) {
-  BufferReader r(frame);
-  RETURN_IF_ERROR(CheckType(&r, MsgType::kStatsReply));
-  RETURN_IF_ERROR(r.GetU64(&m->unique_shares));
-  RETURN_IF_ERROR(r.GetU64(&m->stored_bytes));
-  RETURN_IF_ERROR(r.GetU64(&m->container_count));
-  RETURN_IF_ERROR(r.GetU64(&m->file_count));
-  return r.GetU64(&m->generation_count);
-}
-
-// ---- GC --------------------------------------------------------------------
-
-Bytes Encode(const GcRequest&) { return Begin(MsgType::kGcRequest).Take(); }
-
-Status Decode(ConstByteSpan frame, GcRequest*) {
-  BufferReader r(frame);
-  return CheckType(&r, MsgType::kGcRequest);
-}
-
-Bytes Encode(const GcReply& m) {
-  BufferWriter w = Begin(MsgType::kGcReply);
-  w.PutU64(m.containers_scanned);
-  w.PutU64(m.containers_rewritten);
-  w.PutU64(m.bytes_reclaimed);
-  w.PutU64(m.live_shares_moved);
-  return w.Take();
-}
-
-Status Decode(ConstByteSpan frame, GcReply* m) {
-  BufferReader r(frame);
-  RETURN_IF_ERROR(CheckType(&r, MsgType::kGcReply));
-  RETURN_IF_ERROR(r.GetU64(&m->containers_scanned));
-  RETURN_IF_ERROR(r.GetU64(&m->containers_rewritten));
-  RETURN_IF_ERROR(r.GetU64(&m->bytes_reclaimed));
-  return r.GetU64(&m->live_shares_moved);
-}
-
-// ---- GetMetrics ------------------------------------------------------------
-
-Bytes Encode(const GetMetricsRequest&) { return Begin(MsgType::kGetMetricsRequest).Take(); }
-
-Status Decode(ConstByteSpan frame, GetMetricsRequest*) {
-  BufferReader r(frame);
-  return CheckType(&r, MsgType::kGetMetricsRequest);
-}
-
-namespace {
-
-void PutU64List(BufferWriter* w, const std::vector<uint64_t>& v) {
-  w->PutVarint(v.size());
-  for (uint64_t x : v) {
-    w->PutVarint(x);
-  }
-}
-
-Status GetU64List(BufferReader* r, std::vector<uint64_t>* v) {
-  uint64_t count = 0;
-  RETURN_IF_ERROR(r->GetVarint(&count));
-  if (count > r->remaining()) {
-    return Status::Corruption("list count exceeds frame");
-  }
-  v->clear();
-  v->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t x = 0;
-    RETURN_IF_ERROR(r->GetVarint(&x));
-    v->push_back(x);
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-Bytes Encode(const GetMetricsReply& m) {
-  BufferWriter w = Begin(MsgType::kGetMetricsReply);
-  w.PutVarint(m.samples.size());
-  for (const MetricSample& s : m.samples) {
-    w.PutString(s.name);
-    w.PutU8(s.kind);
-    w.PutVarint(s.labels.size());
-    for (const auto& [k, v] : s.labels) {
-      w.PutString(k);
-      w.PutString(v);
-    }
-    w.PutU64(static_cast<uint64_t>(s.value));
-    w.PutVarint(s.count);
-    w.PutVarint(s.sum);
-    PutU64List(&w, s.bounds);
-    PutU64List(&w, s.bucket_counts);
-  }
-  return w.Take();
-}
-
-Status Decode(ConstByteSpan frame, GetMetricsReply* m) {
-  BufferReader r(frame);
-  RETURN_IF_ERROR(CheckType(&r, MsgType::kGetMetricsReply));
-  uint64_t count = 0;
-  RETURN_IF_ERROR(r.GetVarint(&count));
-  if (count > r.remaining()) {
-    return Status::Corruption("sample count exceeds frame");
-  }
-  m->samples.clear();
-  m->samples.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    MetricSample s;
-    RETURN_IF_ERROR(r.GetString(&s.name));
-    RETURN_IF_ERROR(r.GetU8(&s.kind));
-    uint64_t labels = 0;
-    RETURN_IF_ERROR(r.GetVarint(&labels));
-    if (labels > r.remaining()) {
-      return Status::Corruption("label count exceeds frame");
-    }
-    s.labels.reserve(labels);
-    for (uint64_t j = 0; j < labels; ++j) {
-      std::string k;
-      std::string v;
-      RETURN_IF_ERROR(r.GetString(&k));
-      RETURN_IF_ERROR(r.GetString(&v));
-      s.labels.emplace_back(std::move(k), std::move(v));
-    }
-    uint64_t value = 0;
-    RETURN_IF_ERROR(r.GetU64(&value));
-    s.value = static_cast<int64_t>(value);
-    RETURN_IF_ERROR(r.GetVarint(&s.count));
-    RETURN_IF_ERROR(r.GetVarint(&s.sum));
-    RETURN_IF_ERROR(GetU64List(&r, &s.bounds));
-    RETURN_IF_ERROR(GetU64List(&r, &s.bucket_counts));
-    m->samples.push_back(std::move(s));
-  }
-  return Status::Ok();
-}
-
-// ---- GetTraces -------------------------------------------------------------
-
-Bytes Encode(const GetTracesRequest&) { return Begin(MsgType::kGetTracesRequest).Take(); }
-
-Status Decode(ConstByteSpan frame, GetTracesRequest*) {
-  BufferReader r(frame);
-  return CheckType(&r, MsgType::kGetTracesRequest);
-}
-
-Bytes Encode(const GetTracesReply& m) {
-  BufferWriter w = Begin(MsgType::kGetTracesReply);
-  w.PutVarint(m.spans.size());
-  for (const TraceSpanSample& s : m.spans) {
-    w.PutU64(s.trace_id);
-    w.PutU64(s.span_id);
-    w.PutU64(s.parent_id);
-    w.PutU64(s.start_ns);
-    w.PutU64(s.dur_ns);
-    w.PutU32(s.tid);
-    w.PutString(s.name);
-    w.PutString(s.annot);
-  }
-  w.PutVarint(m.slow.size());
-  for (const SlowTraceSample& s : m.slow) {
-    w.PutU64(s.trace_id);
-    w.PutU64(s.dur_ns);
-    w.PutU8(s.sampled);
-    w.PutString(s.root);
-  }
-  w.PutVarint(m.spans_recorded);
-  w.PutVarint(m.spans_dropped);
-  w.PutVarint(m.unsampled);
-  w.PutVarint(m.flight_evictions);
-  return w.Take();
-}
-
-Status Decode(ConstByteSpan frame, GetTracesReply* m) {
-  BufferReader r(frame);
-  RETURN_IF_ERROR(CheckType(&r, MsgType::kGetTracesReply));
-  uint64_t count = 0;
-  RETURN_IF_ERROR(r.GetVarint(&count));
-  if (count > r.remaining()) {
-    return Status::Corruption("span count exceeds frame");
-  }
-  m->spans.clear();
-  m->spans.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    TraceSpanSample s;
-    RETURN_IF_ERROR(r.GetU64(&s.trace_id));
-    RETURN_IF_ERROR(r.GetU64(&s.span_id));
-    RETURN_IF_ERROR(r.GetU64(&s.parent_id));
-    RETURN_IF_ERROR(r.GetU64(&s.start_ns));
-    RETURN_IF_ERROR(r.GetU64(&s.dur_ns));
-    RETURN_IF_ERROR(r.GetU32(&s.tid));
-    RETURN_IF_ERROR(r.GetString(&s.name));
-    RETURN_IF_ERROR(r.GetString(&s.annot));
-    m->spans.push_back(std::move(s));
-  }
-  RETURN_IF_ERROR(r.GetVarint(&count));
-  if (count > r.remaining()) {
-    return Status::Corruption("slow-trace count exceeds frame");
-  }
-  m->slow.clear();
-  m->slow.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    SlowTraceSample s;
-    RETURN_IF_ERROR(r.GetU64(&s.trace_id));
-    RETURN_IF_ERROR(r.GetU64(&s.dur_ns));
-    RETURN_IF_ERROR(r.GetU8(&s.sampled));
-    RETURN_IF_ERROR(r.GetString(&s.root));
-    m->slow.push_back(std::move(s));
-  }
-  RETURN_IF_ERROR(r.GetVarint(&m->spans_recorded));
-  RETURN_IF_ERROR(r.GetVarint(&m->spans_dropped));
-  RETURN_IF_ERROR(r.GetVarint(&m->unsampled));
-  return r.GetVarint(&m->flight_evictions);
+Status GetRecipeEntries(BufferReader* in, std::vector<RecipeEntry>* entries) {
+  Reader r(*in);
+  r(*entries);
+  return r.status();
 }
 
 // ---- trace-context envelope ------------------------------------------------
 
 Bytes WrapTraced(const TraceContextHeader& ctx, ConstByteSpan inner) {
-  BufferWriter w(inner.size() + 18);
-  w.PutU8(static_cast<uint8_t>(MsgType::kTracedRequest));
-  w.PutU64(ctx.trace_id);
-  w.PutU64(ctx.parent_span_id);
-  w.PutU8(ctx.sampled);
-  w.PutRaw(inner);
-  return w.Take();
+  BufferWriter out(inner.size() + 18);
+  Writer w(out);
+  Fields(w, const_cast<TraceContextHeader&>(ctx));
+  out.PutRaw(inner);
+  return out.Take();
 }
 
 Status UnwrapTraced(ConstByteSpan frame, TraceContextHeader* ctx, ConstByteSpan* inner) {
-  BufferReader r(frame);
-  RETURN_IF_ERROR(CheckType(&r, MsgType::kTracedRequest));
-  RETURN_IF_ERROR(r.GetU64(&ctx->trace_id));
-  RETURN_IF_ERROR(r.GetU64(&ctx->parent_span_id));
-  RETURN_IF_ERROR(r.GetU8(&ctx->sampled));
-  if (r.remaining() == 0) {
+  BufferReader in(frame);
+  Reader r(in);
+  Fields(r, *ctx);
+  RETURN_IF_ERROR(r.status());
+  if (in.remaining() == 0) {
     return Status::Corruption("traced envelope carries no inner frame");
   }
-  *inner = r.Remaining();
+  *inner = in.Remaining();
   return Status::Ok();
 }
 
 // ---- RPC names -------------------------------------------------------------
 
 const char* RpcName(MsgType type) {
-  switch (type) {
-    case MsgType::kError:
-      return "Error";
-    case MsgType::kFpQueryRequest:
-    case MsgType::kFpQueryReply:
-      return "FpQuery";
-    case MsgType::kUploadSharesRequest:
-    case MsgType::kUploadSharesReply:
-      return "UploadShares";
-    case MsgType::kPutFileRequest:
-    case MsgType::kPutFileReply:
-      return "PutFile";
-    case MsgType::kGetFileRequest:
-    case MsgType::kGetFileReply:
-      return "GetFile";
-    case MsgType::kGetSharesRequest:
-    case MsgType::kGetSharesReply:
-      return "GetShares";
-    case MsgType::kDeleteFileRequest:
-    case MsgType::kDeleteFileReply:
-      return "DeleteFile";
-    case MsgType::kStatsRequest:
-    case MsgType::kStatsReply:
-      return "Stats";
-    case MsgType::kGcRequest:
-    case MsgType::kGcReply:
-      return "Gc";
-    case MsgType::kListVersionsRequest:
-    case MsgType::kListVersionsReply:
-      return "ListVersions";
-    case MsgType::kDeleteVersionRequest:
-    case MsgType::kDeleteVersionReply:
-      return "DeleteVersion";
-    case MsgType::kApplyRetentionRequest:
-    case MsgType::kApplyRetentionReply:
-      return "ApplyRetention";
-    case MsgType::kListPathsRequest:
-    case MsgType::kListPathsReply:
-      return "ListPaths";
-    case MsgType::kApplyRetentionNamespaceRequest:
-    case MsgType::kApplyRetentionNamespaceReply:
-      return "ApplyRetentionNamespace";
-    case MsgType::kGetMetricsRequest:
-    case MsgType::kGetMetricsReply:
-      return "GetMetrics";
-    case MsgType::kGetTracesRequest:
-    case MsgType::kGetTracesReply:
-      return "GetTraces";
-    case MsgType::kTracedRequest:
-      return "Traced";
-  }
-  return "Unknown";
+  // MsgType lists each request right before its reply, so (type + 1) / 2
+  // indexes the pair's name; the envelope comes last.
+  static constexpr const char* kNames[] = {
+      "Error",      "FpQuery",        "UploadShares",   "PutFile",
+      "GetFile",    "GetShares",      "DeleteFile",     "Stats",
+      "Gc",         "ListVersions",   "DeleteVersion",  "ApplyRetention",
+      "ListPaths",  "ApplyRetentionNamespace", "GetMetrics", "GetTraces",
+      "Traced"};
+  static_assert(std::size(kNames) == kNumMsgTypes / 2 + 1);
+  size_t t = static_cast<size_t>(type);
+  return t < kNumMsgTypes ? kNames[(t + 1) / 2] : "Unknown";
 }
 
 // ---- errors ----------------------------------------------------------------
 
 Bytes EncodeError(const Status& status) {
-  BufferWriter w = Begin(MsgType::kError);
-  w.PutU8(static_cast<uint8_t>(status.code()));
-  w.PutString(status.message());
-  return w.Take();
+  return Encode(ErrorFrame{static_cast<uint8_t>(status.code()), status.message()});
 }
 
 Status DecodeIfError(ConstByteSpan frame) {
   if (PeekType(frame) != MsgType::kError) {
     return Status::Ok();
   }
-  BufferReader r(frame);
-  uint8_t type = 0;
-  uint8_t code = 0;
-  std::string message;
-  RETURN_IF_ERROR(r.GetU8(&type));
-  RETURN_IF_ERROR(r.GetU8(&code));
-  RETURN_IF_ERROR(r.GetString(&message));
-  return Status(static_cast<StatusCode>(code), message);
+  ErrorFrame error;
+  RETURN_IF_ERROR(Decode(frame, &error));
+  if (error.code == static_cast<uint8_t>(StatusCode::kOk) ||
+      error.code > static_cast<uint8_t>(StatusCode::kInternal)) {
+    return Status::Corruption("error frame carries invalid status code " +
+                              std::to_string(error.code));
+  }
+  return Status(static_cast<StatusCode>(error.code), error.message);
 }
 
 }  // namespace cdstore

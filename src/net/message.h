@@ -18,9 +18,13 @@
 //   ApplyRetentionNamespace
 //                  one server-side retention sweep over every path of the
 //                  user's namespace (commit-locked per page, not per path)
+//   Gc             rewrite containers that hold orphaned shares (§4.7)
+//   GetMetrics     scrape the server's metric registry (src/obs)
+//   GetTraces      scrape the server's span dump (src/obs/trace.h)
 //
 // Every message is [u8 type][payload]; replies reuse the same enum. Errors
-// travel as a kError frame wrapping a status code + text.
+// travel as a kError frame wrapping a status code + text. Any request may
+// ride inside a kTracedRequest envelope that prepends a trace context.
 #ifndef CDSTORE_SRC_NET_MESSAGE_H_
 #define CDSTORE_SRC_NET_MESSAGE_H_
 
@@ -31,10 +35,12 @@
 #include "src/dedup/fingerprint.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/util/io.h"
 #include "src/util/status.h"
 
 namespace cdstore {
 
+// Each request comes right before its reply (RpcName relies on the pairing).
 enum class MsgType : uint8_t {
   kError = 0,
   kFpQueryRequest,
@@ -104,10 +110,9 @@ struct UploadSharesRequest {
   uint64_t user = 0;
   std::vector<Bytes> shares;
 };
-// Zero-copy decode target for an UploadSharesRequest: each share is a span
-// into the request frame, so a server handler holds no per-share heap copy
-// of the payload (the server-side half of the message-layer zero-copy
-// plan; the frame must outlive the view).
+// Zero-copy decode target for an UploadSharesRequest (same wire layout):
+// each share is a span into the request frame, so a server handler holds no
+// per-share heap copy of the payload. The frame must outlive the view.
 struct UploadSharesRequestView {
   uint64_t user = 0;
   std::vector<ConstByteSpan> shares;
@@ -171,6 +176,11 @@ struct GetSharesRequest {
 };
 struct GetSharesReply {
   std::vector<Bytes> shares;  // same order as request
+};
+// Zero-copy decode target for a GetSharesReply (same wire layout): each
+// share is a span into the reply frame, which must outlive the view.
+struct GetSharesReplyView {
+  std::vector<ConstByteSpan> shares;
 };
 
 struct DeleteFileRequest {
@@ -348,39 +358,48 @@ struct GcReply {
 };
 
 // --- encoding ------------------------------------------------------------
+//
+// Encode/Decode cover exactly the message structs above: message.cc states
+// each one's field list once, and that list drives both directions
+// (instantiated there, so the layouts stay private to one file). A failed
+// Decode leaves `m` unspecified.
+//
+// To add a message: a MsgType value (and its RpcName entry), a field list
+// plus instantiation line in message.cc, and a golden frame in
+// tests/wire_golden_test.cc.
+template <class M>
+Bytes Encode(const M& m);
+template <class M>
+Status Decode(ConstByteSpan frame, M* m);
 
 MsgType PeekType(ConstByteSpan frame);
 
-Bytes Encode(const FpQueryRequest& m);
-Bytes Encode(const FpQueryReply& m);
-Bytes Encode(const UploadSharesRequest& m);
-Bytes Encode(const UploadSharesReply& m);
-Bytes Encode(const PutFileRequest& m);
-Bytes Encode(const PutFileReply& m);
-Bytes Encode(const GetFileRequest& m);
-Bytes Encode(const GetFileReply& m);
-Bytes Encode(const GetSharesRequest& m);
-Bytes Encode(const GetSharesReply& m);
-Bytes Encode(const DeleteFileRequest& m);
-Bytes Encode(const DeleteFileReply& m);
-Bytes Encode(const StatsRequest& m);
-Bytes Encode(const StatsReply& m);
-Bytes Encode(const GcRequest& m);
-Bytes Encode(const GcReply& m);
-Bytes Encode(const ListVersionsRequest& m);
-Bytes Encode(const ListVersionsReply& m);
-Bytes Encode(const DeleteVersionRequest& m);
-Bytes Encode(const DeleteVersionReply& m);
-Bytes Encode(const ApplyRetentionRequest& m);
-Bytes Encode(const ApplyRetentionReply& m);
-Bytes Encode(const ListPathsRequest& m);
-Bytes Encode(const ListPathsReply& m);
-Bytes Encode(const ApplyRetentionNamespaceRequest& m);
-Bytes Encode(const ApplyRetentionNamespaceReply& m);
-Bytes Encode(const GetMetricsRequest& m);
-Bytes Encode(const GetMetricsReply& m);
-Bytes Encode(const GetTracesRequest& m);
-Bytes Encode(const GetTracesReply& m);
+// Zero-copy UploadSharesRequest decode (the server's request path).
+inline Status DecodeView(ConstByteSpan frame, UploadSharesRequestView* m) {
+  return Decode(frame, m);
+}
+
+// Zero-copy decode of a GetSharesReply: each returned span views the share
+// bytes in place inside `frame`, so nothing is copied out of the reply. The
+// caller must keep `frame` alive for as long as the spans are used.
+inline Status DecodeShareSpans(ConstByteSpan frame, std::vector<ConstByteSpan>* shares) {
+  GetSharesReplyView view;
+  RETURN_IF_ERROR(Decode(frame, &view));
+  *shares = std::move(view.shares);
+  return Status::Ok();
+}
+
+// Streams a GetSharesReply without gathering its shares: the frame starts as
+// BeginGetSharesReply(count), then AppendShare adds each of the `count`
+// shares. The result is byte-identical to Encode(GetSharesReply).
+BufferWriter BeginGetSharesReply(size_t count);
+void AppendShare(BufferWriter* frame, ConstByteSpan share);
+
+// The RecipeEntry list exactly as PutFile and GetFile frames carry it;
+// FileRecipe blobs embed the same list.
+void PutRecipeEntries(BufferWriter* out, const std::vector<RecipeEntry>& entries);
+Status GetRecipeEntries(BufferReader* in, std::vector<RecipeEntry>* entries);
+
 // Wraps `inner` (a complete request frame) in a kTracedRequest envelope
 // carrying `ctx`. The inner bytes ride verbatim.
 Bytes WrapTraced(const TraceContextHeader& ctx, ConstByteSpan inner);
@@ -388,46 +407,12 @@ Bytes WrapTraced(const TraceContextHeader& ctx, ConstByteSpan inner);
 // wrapped frame bytes (a view into `frame`; no copy). kCorruption on a
 // malformed envelope or a frame of any other type.
 Status UnwrapTraced(ConstByteSpan frame, TraceContextHeader* ctx, ConstByteSpan* inner);
+
 // Errors are status objects on the wire.
 Bytes EncodeError(const Status& status);
-
-Status Decode(ConstByteSpan frame, FpQueryRequest* m);
-Status Decode(ConstByteSpan frame, FpQueryReply* m);
-Status Decode(ConstByteSpan frame, UploadSharesRequest* m);
-Status DecodeView(ConstByteSpan frame, UploadSharesRequestView* m);
-Status Decode(ConstByteSpan frame, UploadSharesReply* m);
-Status Decode(ConstByteSpan frame, PutFileRequest* m);
-Status Decode(ConstByteSpan frame, PutFileReply* m);
-Status Decode(ConstByteSpan frame, GetFileRequest* m);
-Status Decode(ConstByteSpan frame, GetFileReply* m);
-Status Decode(ConstByteSpan frame, GetSharesRequest* m);
-Status Decode(ConstByteSpan frame, GetSharesReply* m);
-// Zero-copy decode of a GetSharesReply: each returned span views the share
-// bytes in place inside `frame`, so nothing is copied out of the reply. The
-// caller must keep `frame` alive for as long as the spans are used (the
-// first client-side step of the message-layer zero-copy plan).
-Status DecodeShareSpans(ConstByteSpan frame, std::vector<ConstByteSpan>* shares);
-Status Decode(ConstByteSpan frame, DeleteFileRequest* m);
-Status Decode(ConstByteSpan frame, DeleteFileReply* m);
-Status Decode(ConstByteSpan frame, StatsRequest* m);
-Status Decode(ConstByteSpan frame, StatsReply* m);
-Status Decode(ConstByteSpan frame, GcRequest* m);
-Status Decode(ConstByteSpan frame, GcReply* m);
-Status Decode(ConstByteSpan frame, ListVersionsRequest* m);
-Status Decode(ConstByteSpan frame, ListVersionsReply* m);
-Status Decode(ConstByteSpan frame, DeleteVersionRequest* m);
-Status Decode(ConstByteSpan frame, DeleteVersionReply* m);
-Status Decode(ConstByteSpan frame, ApplyRetentionRequest* m);
-Status Decode(ConstByteSpan frame, ApplyRetentionReply* m);
-Status Decode(ConstByteSpan frame, ListPathsRequest* m);
-Status Decode(ConstByteSpan frame, ListPathsReply* m);
-Status Decode(ConstByteSpan frame, ApplyRetentionNamespaceRequest* m);
-Status Decode(ConstByteSpan frame, ApplyRetentionNamespaceReply* m);
-Status Decode(ConstByteSpan frame, GetMetricsRequest* m);
-Status Decode(ConstByteSpan frame, GetMetricsReply* m);
-Status Decode(ConstByteSpan frame, GetTracesRequest* m);
-Status Decode(ConstByteSpan frame, GetTracesReply* m);
 // If `frame` is a kError message, returns the carried status; OK otherwise.
+// A kError frame that is malformed or carries no valid error code (0 or out
+// of range) yields kCorruption, so it can never read as success.
 Status DecodeIfError(ConstByteSpan frame);
 
 }  // namespace cdstore

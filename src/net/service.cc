@@ -2,15 +2,6 @@
 
 namespace cdstore {
 
-void ReplyBuilder::BeginShares(size_t count) {
-  shares_ = BufferWriter();
-  shares_.PutU8(static_cast<uint8_t>(MsgType::kGetSharesReply));
-  shares_.PutVarint(count);
-  streaming_ = true;
-}
-
-void ReplyBuilder::AddShare(ConstByteSpan share) { shares_.PutBytes(share); }
-
 Bytes ReplyBuilder::TakeFrame() {
   if (sent_) {
     return std::move(frame_);
@@ -76,17 +67,11 @@ Bytes DispatchInner(ServerService& service, ConstByteSpan request) {
   switch (PeekType(request)) {
     case MsgType::kFpQueryRequest:
       return DecodeAndCall<FpQueryRequest>(service, request, &ServerService::FpQuery);
-    case MsgType::kUploadSharesRequest: {
+    case MsgType::kUploadSharesRequest:
       // The one request whose payload dominates: decoded as spans into the
       // frame so no share is copied before it reaches a container.
-      UploadSharesRequestView req;
-      if (Status st = DecodeView(request, &req); !st.ok()) {
-        return EncodeError(st);
-      }
-      ReplyBuilder rb;
-      service.UploadShares(req, rb);
-      return rb.TakeFrame();
-    }
+      return DecodeAndCall<UploadSharesRequestView>(service, request,
+                                                    &ServerService::UploadShares);
     case MsgType::kPutFileRequest:
       return DecodeAndCall<PutFileRequest>(service, request, &ServerService::PutFile);
     case MsgType::kGetFileRequest:

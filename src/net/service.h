@@ -25,28 +25,20 @@ namespace cdstore {
 // byte-identical to the Encode()/EncodeError() wire format.
 class ReplyBuilder {
  public:
-  void Send(const FpQueryReply& m) { Finish(Encode(m)); }
-  void Send(const UploadSharesReply& m) { Finish(Encode(m)); }
-  void Send(const PutFileReply& m) { Finish(Encode(m)); }
-  void Send(const GetFileReply& m) { Finish(Encode(m)); }
-  void Send(const GetSharesReply& m) { Finish(Encode(m)); }
-  void Send(const DeleteFileReply& m) { Finish(Encode(m)); }
-  void Send(const StatsReply& m) { Finish(Encode(m)); }
-  void Send(const GcReply& m) { Finish(Encode(m)); }
-  void Send(const ListVersionsReply& m) { Finish(Encode(m)); }
-  void Send(const DeleteVersionReply& m) { Finish(Encode(m)); }
-  void Send(const ApplyRetentionReply& m) { Finish(Encode(m)); }
-  void Send(const ListPathsReply& m) { Finish(Encode(m)); }
-  void Send(const ApplyRetentionNamespaceReply& m) { Finish(Encode(m)); }
-  void Send(const GetMetricsReply& m) { Finish(Encode(m)); }
-  void Send(const GetTracesReply& m) { Finish(Encode(m)); }
+  template <class Reply>
+  void Send(const Reply& m) {
+    Finish(Encode(m));
+  }
   // An error overrides any partially streamed reply.
   void SendError(const Status& status) { Finish(EncodeError(status)); }
 
   // Streaming GetShares reply: header once, then each share appended
   // directly to the frame. `count` must match the AddShare() call count.
-  void BeginShares(size_t count);
-  void AddShare(ConstByteSpan share);
+  void BeginShares(size_t count) {
+    shares_ = BeginGetSharesReply(count);
+    streaming_ = true;
+  }
+  void AddShare(ConstByteSpan share) { AppendShare(&shares_, share); }
 
   // True once a terminal Send/SendError (not BeginShares) ran.
   bool sent() const { return sent_; }

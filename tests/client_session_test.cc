@@ -42,7 +42,7 @@ struct Deployment {
   }
 
   StatsReply ServerStats(int i) {
-    Bytes frame = servers[i]->Handle(Encode(StatsRequest{}));
+    Bytes frame = Dispatch(*servers[i], Encode(StatsRequest{}));
     StatsReply reply;
     EXPECT_TRUE(Decode(frame, &reply).ok());
     return reply;

@@ -52,7 +52,7 @@ class CdstoreSystemTest : public ::testing::Test {
   }
 
   StatsReply ServerStats(int i) {
-    Bytes frame = servers_[i]->Handle(Encode(StatsRequest{}));
+    Bytes frame = Dispatch(*servers_[i], Encode(StatsRequest{}));
     StatsReply reply;
     EXPECT_TRUE(Decode(frame, &reply).ok());
     return reply;
@@ -163,7 +163,7 @@ TEST_F(CdstoreSystemTest, SideChannelFpQueryDoesNotLeakOtherUsers) {
     ASSERT_TRUE(scheme->Encode(secret, &shares).ok());
     query.fps.push_back(FingerprintOf(shares[0]));
   }
-  Bytes frame = servers_[0]->Handle(Encode(query));
+  Bytes frame = Dispatch(*servers_[0], Encode(query));
   FpQueryReply reply;
   ASSERT_TRUE(Decode(frame, &reply).ok());
   for (uint8_t dup : reply.duplicate) {
@@ -193,7 +193,7 @@ TEST_F(CdstoreSystemTest, GetSharesRequiresOwnership) {
   GetSharesRequest req;
   req.user = 666;  // not an owner
   req.fps = {FingerprintOf(shares[0])};
-  Bytes frame = servers_[0]->Handle(Encode(req));
+  Bytes frame = Dispatch(*servers_[0], Encode(req));
   Status st = DecodeIfError(frame);
   EXPECT_EQ(st.code(), StatusCode::kPermissionDenied);
 }
@@ -399,6 +399,53 @@ TEST_F(CdstoreSystemTest, WeeklyBackupsDeduplicateLikeThePaper) {
   double intra_saving =
       1.0 - static_cast<double>(week2_transferred) / static_cast<double>(week2_logical_shares);
   EXPECT_GT(intra_saving, 0.85) << "subsequent weekly backups must mostly dedup";
+}
+
+// A reply that is not a well-formed reply of the requested type fails the
+// client call: a kError frame carrying code 0 (kOk) or an unknown code, a
+// reply of another type, or a truncated reply. The retention calls check
+// every cloud's reply, not only the one that supplies the summary.
+TEST(ClientReplyCheckTest, MalformedRepliesFailTheCall) {
+  const std::vector<Bytes> bad_replies = {
+      {0x00, 0x00, 0x00},
+      {0x00, 0xee, 0x00},
+      Encode(StatsReply{}),
+      {static_cast<uint8_t>(MsgType::kDeleteFileReply), 1, 2},
+  };
+  EXPECT_EQ(DecodeIfError(bad_replies[0]).code(), StatusCode::kCorruption);
+  EXPECT_EQ(DecodeIfError(bad_replies[1]).code(), StatusCode::kCorruption);
+
+  for (size_t b = 0; b < bad_replies.size(); ++b) {
+    SCOPED_TRACE("bad reply " + std::to_string(b));
+    const Bytes bad = bad_replies[b];
+    // Cloud 0 answers the retention RPCs well; every other reply is bad.
+    auto good_first = [bad](ConstByteSpan request) {
+      switch (PeekType(request)) {
+        case MsgType::kApplyRetentionRequest:
+          return Encode(ApplyRetentionReply{});
+        case MsgType::kApplyRetentionNamespaceRequest:
+          return Encode(ApplyRetentionNamespaceReply{});
+        default:
+          return bad;
+      }
+    };
+    std::vector<std::unique_ptr<InProcTransport>> transports;
+    std::vector<Transport*> ptrs;
+    for (int i = 0; i < 4; ++i) {
+      transports.push_back(std::make_unique<InProcTransport>(
+          i == 0 ? RpcHandler(good_first) : RpcHandler([bad](ConstByteSpan) { return bad; })));
+      ptrs.push_back(transports.back().get());
+    }
+    ClientOptions o;
+    o.n = 4;
+    o.k = 3;
+    CdstoreClient client(ptrs, /*user=*/1, o);
+    RetentionPolicy keep_one{1, 0, 0};
+    EXPECT_FALSE(client.DeleteFile("/f").ok());
+    EXPECT_FALSE(client.DeleteVersion("/f", 1).ok());
+    EXPECT_FALSE(client.ApplyRetention("/f", keep_one).ok());
+    EXPECT_FALSE(client.ApplyRetentionNamespace(keep_one).ok());
+  }
 }
 
 }  // namespace

@@ -188,7 +188,7 @@ class DedupAccelE2eTest : public ::testing::Test {
     }
 
     StatsReply Stats(int i) {
-      Bytes frame = servers[i]->Handle(Encode(StatsRequest{}));
+      Bytes frame = Dispatch(*servers[i], Encode(StatsRequest{}));
       StatsReply reply;
       EXPECT_TRUE(Decode(frame, &reply).ok());
       return reply;

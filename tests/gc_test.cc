@@ -140,7 +140,7 @@ TEST_F(GcTest, RepeatedDeleteGcCycles) {
   }
   // After all cycles everything is reclaimed; a few container stubs and
   // recipe containers may remain but share bytes are gone.
-  Bytes frame = servers_[0]->Handle(Encode(StatsRequest{}));
+  Bytes frame = Dispatch(*servers_[0], Encode(StatsRequest{}));
   StatsReply stats;
   ASSERT_TRUE(Decode(frame, &stats).ok());
   EXPECT_EQ(stats.unique_shares, 0u);

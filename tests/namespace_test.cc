@@ -99,7 +99,7 @@ Bytes TestContent(uint64_t seed, size_t size) {
 }
 
 StatsReply ServerStats(CdstoreServer* server) {
-  Bytes frame = server->Handle(Encode(StatsRequest{}));
+  Bytes frame = Dispatch(*server, Encode(StatsRequest{}));
   StatsReply stats;
   CHECK(Decode(frame, &stats).ok());
   return stats;

@@ -194,7 +194,7 @@ class UploadEquivalenceTest : public ::testing::Test {
     }
 
     StatsReply ServerStats(int i) {
-      Bytes frame = servers[i]->Handle(Encode(StatsRequest{}));
+      Bytes frame = Dispatch(*servers[i], Encode(StatsRequest{}));
       StatsReply reply;
       EXPECT_TRUE(Decode(frame, &reply).ok());
       return reply;

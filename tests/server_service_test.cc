@@ -1,5 +1,5 @@
 // Tests of the typed server service API: Dispatch()/ReplyBuilder frames
-// are byte-identical to the Encode() wire format across all eight message
+// are byte-identical to the Encode() wire format across the message
 // types, the striped-lock server keeps dedup exact under concurrent
 // multi-client uploads, the TCP worker pool drains gracefully on Stop(),
 // and Flush() surfaces container-seal errors.
@@ -52,25 +52,17 @@ class ServerServiceTest : public ::testing::Test {
   TempDir dir_;
 };
 
-// The member Handle() shim and the free Dispatch() adapter must produce
-// byte-identical reply frames, and those frames must match what Encode()
-// produces for the decoded reply — across every message type, including
-// error and streamed-shares replies. Two identically-driven servers keep
-// the comparison honest (independent state, same deterministic ids).
+// Dispatch()'s reply frames must match what Encode() produces for the
+// decoded reply — across every message type, including error and
+// streamed-shares replies.
 TEST_F(ServerServiceTest, DispatchFramesMatchEncodeAcrossAllMessageTypes) {
-  MemBackend backend_a, backend_b;
-  auto a = NewServer(&backend_a, "a");
-  auto b = NewServer(&backend_b, "b");
+  MemBackend backend;
+  auto server = NewServer(&backend, "a");
 
   std::vector<Bytes> shares = {MakeShare(1), MakeShare(2), MakeShare(3)};
   const UserId user = 7;
 
-  auto both = [&](const Bytes& request) {
-    Bytes via_handle = a->Handle(request);
-    Bytes via_dispatch = Dispatch(*b, request);
-    EXPECT_EQ(via_handle, via_dispatch);
-    return via_handle;
-  };
+  auto call = [&](const Bytes& request) { return Dispatch(*server, request); };
 
   // UploadShares: 3 unique + 1 in-request duplicate.
   {
@@ -78,7 +70,7 @@ TEST_F(ServerServiceTest, DispatchFramesMatchEncodeAcrossAllMessageTypes) {
     req.user = user;
     req.shares = shares;
     req.shares.push_back(shares[0]);
-    Bytes frame = both(Encode(req));
+    Bytes frame = call(Encode(req));
     UploadSharesReply reply;
     ASSERT_TRUE(Decode(frame, &reply).ok());
     EXPECT_EQ(reply.stored, 3u);
@@ -94,7 +86,7 @@ TEST_F(ServerServiceTest, DispatchFramesMatchEncodeAcrossAllMessageTypes) {
       req.fps.push_back(FingerprintOf(s));
     }
     req.fps.push_back(FingerprintOf(BytesOf("never uploaded")));
-    Bytes frame = both(Encode(req));
+    Bytes frame = call(Encode(req));
     FpQueryReply reply;
     ASSERT_TRUE(Decode(frame, &reply).ok());
     EXPECT_EQ(reply.duplicate, (std::vector<uint8_t>{0, 0, 0, 0}));
@@ -108,7 +100,7 @@ TEST_F(ServerServiceTest, DispatchFramesMatchEncodeAcrossAllMessageTypes) {
     req.path_key = BytesOf("path-share-0");
     req.file_size = 3 * 600;
     req.recipe = RecipeFor(shares);
-    Bytes frame = both(Encode(req));
+    Bytes frame = call(Encode(req));
     PutFileReply reply;
     ASSERT_TRUE(Decode(frame, &reply).ok());
     EXPECT_EQ(frame, Encode(reply));
@@ -119,7 +111,7 @@ TEST_F(ServerServiceTest, DispatchFramesMatchEncodeAcrossAllMessageTypes) {
     FpQueryRequest req;
     req.user = user;
     req.fps = {FingerprintOf(shares[0]), FingerprintOf(shares[2])};
-    Bytes frame = both(Encode(req));
+    Bytes frame = call(Encode(req));
     FpQueryReply reply;
     ASSERT_TRUE(Decode(frame, &reply).ok());
     EXPECT_EQ(reply.duplicate, (std::vector<uint8_t>{1, 1}));
@@ -130,7 +122,7 @@ TEST_F(ServerServiceTest, DispatchFramesMatchEncodeAcrossAllMessageTypes) {
     GetFileRequest req;
     req.user = user;
     req.path_key = BytesOf("path-share-0");
-    Bytes frame = both(Encode(req));
+    Bytes frame = call(Encode(req));
     GetFileReply reply;
     ASSERT_TRUE(Decode(frame, &reply).ok());
     EXPECT_EQ(reply.file_size, 3u * 600u);
@@ -147,7 +139,7 @@ TEST_F(ServerServiceTest, DispatchFramesMatchEncodeAcrossAllMessageTypes) {
     for (const Bytes& s : shares) {
       req.fps.push_back(FingerprintOf(s));
     }
-    Bytes frame = both(Encode(req));
+    Bytes frame = call(Encode(req));
     GetSharesReply reply;
     ASSERT_TRUE(Decode(frame, &reply).ok());
     ASSERT_EQ(reply.shares.size(), shares.size());
@@ -162,14 +154,14 @@ TEST_F(ServerServiceTest, DispatchFramesMatchEncodeAcrossAllMessageTypes) {
     GetSharesRequest req;
     req.user = user + 1;
     req.fps = {FingerprintOf(shares[0])};
-    Bytes frame = both(Encode(req));
+    Bytes frame = call(Encode(req));
     EXPECT_EQ(PeekType(frame), MsgType::kError);
     EXPECT_EQ(DecodeIfError(frame).code(), StatusCode::kPermissionDenied);
   }
 
   // Stats.
   {
-    Bytes frame = both(Encode(StatsRequest{}));
+    Bytes frame = call(Encode(StatsRequest{}));
     StatsReply reply;
     ASSERT_TRUE(Decode(frame, &reply).ok());
     EXPECT_EQ(reply.unique_shares, 3u);
@@ -182,7 +174,7 @@ TEST_F(ServerServiceTest, DispatchFramesMatchEncodeAcrossAllMessageTypes) {
     DeleteFileRequest req;
     req.user = user;
     req.path_key = BytesOf("path-share-0");
-    Bytes frame = both(Encode(req));
+    Bytes frame = call(Encode(req));
     DeleteFileReply reply;
     ASSERT_TRUE(Decode(frame, &reply).ok());
     EXPECT_EQ(reply.shares_orphaned, 3u);
@@ -191,7 +183,7 @@ TEST_F(ServerServiceTest, DispatchFramesMatchEncodeAcrossAllMessageTypes) {
 
   // Gc reclaims the orphaned containers.
   {
-    Bytes frame = both(Encode(GcRequest{}));
+    Bytes frame = call(Encode(GcRequest{}));
     GcReply reply;
     ASSERT_TRUE(Decode(frame, &reply).ok());
     EXPECT_EQ(frame, Encode(reply));
@@ -200,13 +192,13 @@ TEST_F(ServerServiceTest, DispatchFramesMatchEncodeAcrossAllMessageTypes) {
   // Unknown message type and truncated request produce identical errors.
   {
     Bytes bogus = {0xee, 1, 2, 3};
-    EXPECT_EQ(PeekType(both(bogus)), MsgType::kError);
+    EXPECT_EQ(PeekType(call(bogus)), MsgType::kError);
     UploadSharesRequest req;
     req.user = user;
     req.shares = {shares[0]};
     Bytes truncated = Encode(req);
     truncated.resize(truncated.size() / 2);
-    EXPECT_EQ(PeekType(both(truncated)), MsgType::kError);
+    EXPECT_EQ(PeekType(call(truncated)), MsgType::kError);
   }
 }
 
@@ -287,7 +279,7 @@ TEST_F(ServerServiceTest, ConcurrentMultiClientUploadDedupExact) {
         for (size_t i = off; i < std::min(mine.size(), off + kBatch); ++i) {
           req.shares.push_back(mine[i]);
         }
-        Bytes frame = server->Handle(Encode(req));
+        Bytes frame = Dispatch(*server, Encode(req));
         UploadSharesReply reply;
         if (!Decode(frame, &reply).ok()) {
           ++failures;
@@ -300,7 +292,7 @@ TEST_F(ServerServiceTest, ConcurrentMultiClientUploadDedupExact) {
         q.user = req.user;
         q.fps = {FingerprintOf(req.shares[0])};
         FpQueryReply qr;
-        if (!Decode(server->Handle(Encode(q)), &qr).ok()) {
+        if (!Decode(Dispatch(*server, Encode(q)), &qr).ok()) {
           ++failures;
         }
       }
@@ -323,14 +315,14 @@ TEST_F(ServerServiceTest, ConcurrentMultiClientUploadDedupExact) {
   put.path_key = BytesOf("after-storm");
   put.file_size = 0;
   put.recipe = RecipeFor(shared);
-  ASSERT_TRUE(DecodeIfError(server->Handle(Encode(put))).ok());
+  ASSERT_TRUE(DecodeIfError(Dispatch(*server, Encode(put))).ok());
   GetSharesRequest get;
   get.user = 1;
   for (const Bytes& s : shared) {
     get.fps.push_back(FingerprintOf(s));
   }
   GetSharesReply got;
-  ASSERT_TRUE(Decode(server->Handle(Encode(get)), &got).ok());
+  ASSERT_TRUE(Decode(Dispatch(*server, Encode(get)), &got).ok());
   ASSERT_EQ(got.shares.size(), shared.size());
   for (size_t i = 0; i < shared.size(); ++i) {
     EXPECT_EQ(got.shares[i], shared[i]);
@@ -441,7 +433,7 @@ TEST_F(ServerServiceTest, FlushPropagatesContainerSealErrors) {
   UploadSharesRequest req;
   req.user = 1;
   req.shares = {MakeShare(900), MakeShare(901)};
-  ASSERT_TRUE(DecodeIfError(server->Handle(Encode(req))).ok());
+  ASSERT_TRUE(DecodeIfError(Dispatch(*server, Encode(req))).ok());
 
   cloud.set_available(false);
   Status st = server->Flush();

@@ -278,7 +278,7 @@ TEST_F(TracedServerTest, FrameWithoutEnvelopeTakesPreTracingPath) {
   // Old-peer compatibility: a pre-PR-9 frame (no kTracedRequest header)
   // must decode and serve exactly as before, and record no server spans.
   Bytes plain = Encode(StatsRequest{});
-  Bytes reply = server_->Handle(plain);
+  Bytes reply = Dispatch(*server_, plain);
   StatsReply stats;
   ASSERT_TRUE(Decode(reply, &stats).ok());
   EXPECT_EQ(tracer_.Dump().spans.size(), 0u);
@@ -286,7 +286,7 @@ TEST_F(TracedServerTest, FrameWithoutEnvelopeTakesPreTracingPath) {
 
 TEST_F(TracedServerTest, WireContextParentsServerSpans) {
   TraceContextHeader ctx{0xfeedull, 7, 1};
-  Bytes reply = server_->Handle(WrapTraced(ctx, Encode(StatsRequest{})));
+  Bytes reply = Dispatch(*server_, WrapTraced(ctx, Encode(StatsRequest{})));
   StatsReply stats;
   ASSERT_TRUE(Decode(reply, &stats).ok());
 
@@ -297,21 +297,21 @@ TEST_F(TracedServerTest, WireContextParentsServerSpans) {
   EXPECT_EQ(serve->parent_id, ctx.parent_span_id);
   EXPECT_EQ(serve->annot, "Stats");
   // The reply itself is unchanged by the envelope.
-  Bytes plain_reply = server_->Handle(Encode(StatsRequest{}));
+  Bytes plain_reply = Dispatch(*server_, Encode(StatsRequest{}));
   EXPECT_EQ(reply.size(), plain_reply.size());
 }
 
 TEST_F(TracedServerTest, UnsampledWireContextRecordsNothing) {
   TraceContextHeader ctx{0xfeedull, 7, 0};
-  Bytes reply = server_->Handle(WrapTraced(ctx, Encode(StatsRequest{})));
+  Bytes reply = Dispatch(*server_, WrapTraced(ctx, Encode(StatsRequest{})));
   StatsReply stats;
   ASSERT_TRUE(Decode(reply, &stats).ok());
   EXPECT_EQ(tracer_.Dump().spans.size(), 0u);
 }
 
 TEST_F(TracedServerTest, GetTracesRpcServesTheDump) {
-  server_->Handle(WrapTraced(TraceContextHeader{0xabcull, 1, 1}, Encode(StatsRequest{})));
-  Bytes reply = server_->Handle(Encode(GetTracesRequest{}));
+  Dispatch(*server_, WrapTraced(TraceContextHeader{0xabcull, 1, 1}, Encode(StatsRequest{})));
+  Bytes reply = Dispatch(*server_, Encode(GetTracesRequest{}));
   GetTracesReply traces;
   ASSERT_TRUE(Decode(reply, &traces).ok());
   const TraceSpanSample* serve = FindSpan(traces.spans, "serve");

@@ -132,7 +132,7 @@ TEST_F(VersioningTest, GenerationsAccumulateAndRestoreByteIdentically) {
   EXPECT_EQ(client.Download("/home").value(), weekly.back());
 
   // One path, many generations: file_count counts paths.
-  Bytes frame = servers_[0]->Handle(Encode(StatsRequest{}));
+  Bytes frame = Dispatch(*servers_[0], Encode(StatsRequest{}));
   StatsReply stats;
   ASSERT_TRUE(Decode(frame, &stats).ok());
   EXPECT_EQ(stats.file_count, 1u);
