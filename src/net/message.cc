@@ -430,8 +430,8 @@ Status Decode(ConstByteSpan frame, M* m) {
   return r.status();
 }
 
-#define CDSTORE_WIRE_MESSAGE(M)          \
-  template Bytes Encode(const M& m);     \
+#define CDSTORE_WIRE_MESSAGE(M)    \
+  template Bytes Encode(const M& m); \
   template Status Decode(ConstByteSpan frame, M* m);
 CDSTORE_WIRE_MESSAGE(FpQueryRequest)
 CDSTORE_WIRE_MESSAGE(FpQueryReply)
@@ -526,11 +526,12 @@ const char* RpcName(MsgType type) {
   // MsgType lists each request right before its reply, so (type + 1) / 2
   // indexes the pair's name; the envelope comes last.
   static constexpr const char* kNames[] = {
-      "Error",      "FpQuery",        "UploadShares",   "PutFile",
-      "GetFile",    "GetShares",      "DeleteFile",     "Stats",
-      "Gc",         "ListVersions",   "DeleteVersion",  "ApplyRetention",
-      "ListPaths",  "ApplyRetentionNamespace", "GetMetrics", "GetTraces",
-      "Traced"};
+      "Error",                   "FpQuery",                 "UploadShares",
+      "PutFile",                 "GetFile",                 "GetShares",
+      "DeleteFile",              "Stats",                   "Gc",
+      "ListVersions",            "DeleteVersion",           "ApplyRetention",
+      "ListPaths",               "ApplyRetentionNamespace", "GetMetrics",
+      "GetTraces",               "Traced"};
   static_assert(std::size(kNames) == kNumMsgTypes / 2 + 1);
   size_t t = static_cast<size_t>(type);
   return t < kNumMsgTypes ? kNames[(t + 1) / 2] : "Unknown";
