@@ -111,7 +111,6 @@ void RunPoint(double fault_pct, size_t size_bytes, uint64_t stall_ms, int attemp
   ClientOptions co;
   co.n = kN;
   co.k = kK;
-  co.pipelined_download = true;
   co.download_batch_bytes = 256 * 1024;
   co.metrics = &d->registry;
   CdstoreClient client(transports, 1, co);

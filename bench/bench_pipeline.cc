@@ -2,11 +2,12 @@
 // have real latency and finite bandwidth (the transport sleeps, so overlap
 // between compute and transfer is actually observable in wall-clock time):
 //
-//   1. barrier vs streaming upload (chunking config x encode threads),
-//   2. N one-shot uploads vs one multi-file BackupSession (per-file
+//   1. N one-shot uploads vs one multi-file BackupSession (per-file
 //      pipeline setup/teardown amortization),
-//   3. barrier vs pipelined sink-driven download (per-cloud fetch lanes
-//      overlapped with decode workers), with per-cloud skew breakdown,
+//   2. pipelined sink-driven download (per-cloud fetch lanes overlapped
+//      with decode workers) with its per-cloud skew breakdown,
+//   3. multi-client upload scaling, and the metrics and tracing overhead
+//      of the streaming upload,
 //   4. microbenchmarks of the SIMD kernel tiers the pipeline leans on
 //      (GF(256) region multiply, SHA-256 compression).
 //
@@ -14,7 +15,8 @@
 // tracking, plus human-readable tables.
 //
 // Flags: --size_mb=48 --uplink_mbps=24 --latency_ms=2 --threads=2
-//        --files=16 --file_kb=512
+//        --files=16 --file_kb=512 --stream_batch_kb=1024 --queue_depth=64
+//        --shared_uplink=0
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -161,19 +163,14 @@ std::unique_ptr<Deployment> MakeDeployment(double latency_s, double uplink_bytes
   return d;
 }
 
-struct ChunkConfig {
-  const char* name;
-  bool fixed;
-  size_t fixed_size;
-};
-
 size_t g_stream_batch_bytes = 1 << 20;
 size_t g_queue_depth = 64;
 bool g_shared_uplink = false;
 
-double MeasureUploadMiBps(const Bytes& data, bool streaming, const ChunkConfig& chunks,
-                          int threads, double latency_s, double uplink_bytes_per_s) {
-  auto world = MakeDeployment(latency_s, uplink_bytes_per_s, g_shared_uplink);
+// One compute-bound streaming upload (fixed 8KB chunks, no simulated
+// wire) with the bench's current metrics registry and tracer.
+double MeasureUploadMiBps(const Bytes& data, int threads) {
+  auto world = MakeDeployment(0.0, 0.0, g_shared_uplink);
   std::vector<Transport*> transports;
   for (auto& t : world->transports) {
     transports.push_back(t.get());
@@ -182,9 +179,8 @@ double MeasureUploadMiBps(const Bytes& data, bool streaming, const ChunkConfig& 
   opts.n = kN;
   opts.k = kK;
   opts.encode_threads = threads;
-  opts.streaming_upload = streaming;
-  opts.fixed_chunking = chunks.fixed;
-  opts.fixed_chunk_size = chunks.fixed_size;
+  opts.fixed_chunking = true;
+  opts.fixed_chunk_size = 8192;
   opts.stream_batch_bytes = g_stream_batch_bytes;
   opts.pipeline_queue_depth = g_queue_depth;
   opts.metrics = g_metrics;
@@ -198,59 +194,6 @@ double MeasureUploadMiBps(const Bytes& data, bool streaming, const ChunkConfig& 
     return 0;
   }
   return ToMiBps(data.size(), secs);
-}
-
-void BenchUpload(int argc, char** argv) {
-  const size_t size_mb = static_cast<size_t>(FlagValue(argc, argv, "size_mb", 48));
-  const double uplink_mbps = FlagValue(argc, argv, "uplink_mbps", 24);
-  const double latency_ms = FlagValue(argc, argv, "latency_ms", 2);
-  const int base_threads = static_cast<int>(FlagValue(argc, argv, "threads", 2));
-  g_stream_batch_bytes =
-      static_cast<size_t>(FlagValue(argc, argv, "stream_batch_kb", 1024)) * 1024;
-  g_queue_depth = static_cast<size_t>(FlagValue(argc, argv, "queue_depth", 64));
-  g_shared_uplink = FlagValue(argc, argv, "shared_uplink", 0) != 0;
-  const size_t total_bytes = size_mb * 1024 * 1024;
-  const double latency_s = latency_ms / 1e3;
-  const double uplink_bytes_per_s = uplink_mbps * 1e6;
-
-  Bytes data = RandomData(total_bytes, 4242);
-
-  PrintHeader("Barrier vs streaming upload (wall clock, simulated clouds)");
-  std::printf("(n,k)=(%d,%d), %zuMB, %.0fms/call latency, %.0fMB/s %s\n", kN, kK, size_mb,
-              latency_ms, uplink_mbps,
-              g_shared_uplink ? "shared client uplink" : "uplink per cloud");
-  std::printf("(single-core hosts understate the streaming gain: encode, server handlers\n"
-              " and uploaders time-share one CPU, so compute cannot fully hide in the wire)\n");
-  std::printf("%-12s %-9s %-14s %-14s %-9s\n", "Chunking", "Threads", "Barrier MB/s",
-              "Stream MB/s", "Speedup");
-
-  const ChunkConfig configs[] = {
-      {"fixed4k", true, 4096},
-      {"fixed8k", true, 8192},
-      {"rabin8k", false, 0},
-  };
-  double best_speedup = 0;
-  const int thread_counts[] = {1, base_threads, 2 * base_threads};
-  for (const ChunkConfig& cc : configs) {
-    for (int threads : thread_counts) {
-      double barrier =
-          MeasureUploadMiBps(data, false, cc, threads, latency_s, uplink_bytes_per_s);
-      double stream =
-          MeasureUploadMiBps(data, true, cc, threads, latency_s, uplink_bytes_per_s);
-      double speedup = barrier > 0 ? stream / barrier : 0;
-      best_speedup = std::max(best_speedup, speedup);
-      std::printf("%-12s %-9d %-14.1f %-14.1f %-9.2f\n", cc.name, threads, barrier, stream,
-                  speedup);
-      std::printf(
-          "BENCH_JSON {\"bench\":\"pipeline_upload\",\"chunker\":\"%s\",\"threads\":%d,"
-          "\"size_mb\":%zu,\"uplink_mbps\":%.1f,\"latency_ms\":%.1f,\"shared_uplink\":%d,"
-          "\"barrier_mibps\":%.2f,\"stream_mibps\":%.2f,\"speedup\":%.3f}\n",
-          cc.name, threads, size_mb, uplink_mbps, latency_ms, g_shared_uplink ? 1 : 0, barrier,
-          stream, speedup);
-    }
-  }
-  std::printf("BENCH_JSON {\"bench\":\"pipeline_upload_summary\",\"best_speedup\":%.3f}\n",
-              best_speedup);
 }
 
 ClientOptions BenchClientOptions(int threads) {
@@ -329,9 +272,8 @@ void BenchSession(int argc, char** argv) {
       files, file_kb, oneshot_s, session_s, speedup, per_file_saving_ms);
 }
 
-// Barrier download (fetch every cloud sequentially, then decode, then emit)
-// vs pipelined sink-driven download (per-cloud fetch lanes overlapped with
-// decode workers).
+// Pipelined sink-driven download (per-cloud fetch lanes overlapped with
+// decode workers) and which clouds served it.
 void BenchDownload(int argc, char** argv) {
   const size_t size_mb = static_cast<size_t>(FlagValue(argc, argv, "size_mb", 48));
   const double uplink_mbps = FlagValue(argc, argv, "uplink_mbps", 24);
@@ -354,40 +296,23 @@ void BenchDownload(int argc, char** argv) {
     }
   }
 
-  auto run = [&](bool pipelined, DownloadStats* stats) {
-    ClientOptions opts = BenchClientOptions(threads);
-    opts.pipelined_download = pipelined;
-    CdstoreClient client(transports, /*user=*/1, opts);
-    Bytes restored;
-    BufferByteSink sink(&restored);
-    Stopwatch watch;
-    Status st = client.Download("/bench", sink, stats);
-    double secs = watch.ElapsedSeconds();
-    if (!st.ok() || restored != data) {
-      std::fprintf(stderr, "download failed: %s\n", st.ToString().c_str());
-      std::exit(1);
-    }
-    return ToMiBps(data.size(), secs);
-  };
-
-  PrintHeader("Barrier vs pipelined download (wall clock, simulated clouds)");
-  std::printf("%zuMB, %.0fms/call latency, %.0fMB/s per cloud path\n", size_mb, latency_ms,
-              uplink_mbps);
-  DownloadStats barrier_stats;
-  DownloadStats pipelined_stats;
-  double barrier = run(false, &barrier_stats);
-  double pipelined = run(true, &pipelined_stats);
-  double speedup = barrier > 0 ? pipelined / barrier : 0;
-  std::printf("barrier: %.1f MB/s   pipelined: %.1f MB/s   speedup %.2fx\n", barrier,
-              pipelined, speedup);
-  std::printf(
-      "BENCH_JSON {\"bench\":\"pipeline_download\",\"size_mb\":%zu,\"uplink_mbps\":%.1f,"
-      "\"latency_ms\":%.1f,\"barrier_mibps\":%.2f,\"pipelined_mibps\":%.2f,"
-      "\"speedup\":%.3f}\n",
-      size_mb, uplink_mbps, latency_ms, barrier, pipelined, speedup);
+  CdstoreClient client(transports, /*user=*/1, BenchClientOptions(threads));
+  Bytes restored;
+  BufferByteSink sink(&restored);
+  DownloadStats stats;
+  Stopwatch watch;
+  Status st = client.Download("/bench", sink, &stats);
+  double secs = watch.ElapsedSeconds();
+  if (!st.ok() || restored != data) {
+    std::fprintf(stderr, "download failed: %s\n", st.ToString().c_str());
+    std::exit(1);
+  }
+  PrintHeader("Pipelined download (wall clock, simulated clouds)");
+  std::printf("%zuMB, %.0fms/call latency, %.0fMB/s per cloud path: %.1f MB/s\n", size_mb,
+              latency_ms, uplink_mbps, ToMiBps(data.size(), secs));
   // Per-cloud skew: which clouds actually served the restore, and how much.
-  for (size_t c = 0; c < pipelined_stats.per_cloud.size(); ++c) {
-    const CloudDownloadStats& cs = pipelined_stats.per_cloud[c];
+  for (size_t c = 0; c < stats.per_cloud.size(); ++c) {
+    const CloudDownloadStats& cs = stats.per_cloud[c];
     if (cs.rpcs == 0 && cs.received_share_bytes == 0) {
       continue;
     }
@@ -504,7 +429,6 @@ void BenchMultiClient(int argc, char** argv) {
 void BenchMetricsOverhead(int argc, char** argv) {
   const size_t size_mb = static_cast<size_t>(FlagValue(argc, argv, "metrics_mb", 16));
   const int threads = static_cast<int>(FlagValue(argc, argv, "threads", 2));
-  const ChunkConfig cc{"fixed8k", true, 8192};
   Bytes data = RandomData(size_mb * 1024 * 1024, 6060);
 
   PrintHeader("Metrics overhead: streaming upload, obs off vs fully instrumented");
@@ -513,10 +437,10 @@ void BenchMetricsOverhead(int argc, char** argv) {
   double on = 0;
   for (int rep = 0; rep < 3; ++rep) {
     g_metrics = nullptr;
-    off = std::max(off, MeasureUploadMiBps(data, true, cc, threads, 0.0, 0.0));
+    off = std::max(off, MeasureUploadMiBps(data, threads));
     MetricRegistry registry;
     g_metrics = &registry;
-    on = std::max(on, MeasureUploadMiBps(data, true, cc, threads, 0.0, 0.0));
+    on = std::max(on, MeasureUploadMiBps(data, threads));
     g_metrics = nullptr;
   }
   double overhead_pct = off > 0 ? (off - on) / off * 100.0 : 0;
@@ -537,7 +461,6 @@ void BenchMetricsOverhead(int argc, char** argv) {
 void BenchTraceOverhead(int argc, char** argv) {
   const size_t size_mb = static_cast<size_t>(FlagValue(argc, argv, "trace_mb", 16));
   const int threads = static_cast<int>(FlagValue(argc, argv, "threads", 2));
-  const ChunkConfig cc{"fixed8k", true, 8192};
   Bytes data = RandomData(size_mb * 1024 * 1024, 7070);
 
   PrintHeader("Tracing overhead: streaming upload, off vs unsampled vs sampled");
@@ -547,7 +470,7 @@ void BenchTraceOverhead(int argc, char** argv) {
   double sampled = 0;
   for (int rep = 0; rep < 3; ++rep) {
     g_tracer = nullptr;
-    off = std::max(off, MeasureUploadMiBps(data, true, cc, threads, 0.0, 0.0));
+    off = std::max(off, MeasureUploadMiBps(data, threads));
     {
       // sample_every_n beyond the request count: the tracer is live on
       // every span site but no request wins the sampling lottery.
@@ -556,12 +479,12 @@ void BenchTraceOverhead(int argc, char** argv) {
       topts.slow_threshold_ns = UINT64_MAX;
       Tracer tracer(topts);
       g_tracer = &tracer;
-      unsampled = std::max(unsampled, MeasureUploadMiBps(data, true, cc, threads, 0.0, 0.0));
+      unsampled = std::max(unsampled, MeasureUploadMiBps(data, threads));
     }
     {
       Tracer tracer;  // defaults: every request sampled
       g_tracer = &tracer;
-      sampled = std::max(sampled, MeasureUploadMiBps(data, true, cc, threads, 0.0, 0.0));
+      sampled = std::max(sampled, MeasureUploadMiBps(data, threads));
     }
     g_tracer = nullptr;
   }
@@ -647,8 +570,12 @@ void BenchKernels() {
 }  // namespace cdstore
 
 int main(int argc, char** argv) {
+  cdstore::g_stream_batch_bytes =
+      static_cast<size_t>(cdstore::FlagValue(argc, argv, "stream_batch_kb", 1024)) * 1024;
+  cdstore::g_queue_depth =
+      static_cast<size_t>(cdstore::FlagValue(argc, argv, "queue_depth", 64));
+  cdstore::g_shared_uplink = cdstore::FlagValue(argc, argv, "shared_uplink", 0) != 0;
   cdstore::BenchKernels();
-  cdstore::BenchUpload(argc, argv);
   cdstore::BenchSession(argc, argv);
   cdstore::BenchDownload(argc, argv);
   cdstore::BenchMultiClient(argc, argv);

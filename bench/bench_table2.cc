@@ -10,6 +10,7 @@
 #include "bench/bench_util.h"
 #include "src/cloud/profiles.h"
 #include "src/cloud/sim_cloud.h"
+#include "src/obs/metrics.h"
 #include "src/util/stats.h"
 
 namespace cdstore {

@@ -44,6 +44,7 @@
 //   ./examples/cdstore_cli /tmp/cd prune-all --keep=1
 //   ./examples/cdstore_cli /tmp/cd restore-all /tmp/everything
 //   ./examples/cdstore_cli /tmp/cd gc
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -187,14 +188,22 @@ int Usage() {
 
 // Strips every trailing "--name=value" flag off argv and returns the value
 // of the requested one (or `fallback`). Flags may appear in any order after
-// the positional arguments.
-uint64_t TakeFlag(int* argc, char** argv, const char* name, uint64_t fallback) {
+// the positional arguments. A value that is not a whole decimal uint64
+// (empty, signed, non-numeric, trailing garbage, out of range) is reported
+// and sets *bad.
+uint64_t TakeFlag(int* argc, char** argv, const char* name, uint64_t fallback, bool* bad) {
   std::string prefix = std::string("--") + name + "=";
   uint64_t value = fallback;
   int out = 0;
   for (int i = 0; i < *argc; ++i) {
     if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      value = std::strtoull(argv[i] + prefix.size(), nullptr, 10);
+      const char* text = argv[i] + prefix.size();
+      const char* end = text + std::strlen(text);
+      auto [ptr, ec] = std::from_chars(text, end, value);
+      if (ec != std::errc() || ptr != end || text == end) {
+        std::fprintf(stderr, "invalid value for --%s: '%s'\n", name, text);
+        *bad = true;
+      }
     } else {
       argv[out++] = argv[i];
     }
@@ -531,8 +540,8 @@ int RunCommand(const std::string& cmd, int argc, char** argv, Deployment& d, Use
                   static_cast<unsigned long long>(e.latest_timestamp_ms));
     }
     if (listing.value().unnamed_paths > 0) {
-      std::printf("(%llu path(s) predate name storage; their next backup makes them "
-                  "enumerable)\n",
+      std::printf("(%llu path(s) could not be resolved: fewer than k clouds list them, "
+                  "or their name shares disagree)\n",
                   static_cast<unsigned long long>(listing.value().unnamed_paths));
     }
     std::printf("%zu path(s)\n", listing.value().entries.size());
@@ -671,12 +680,11 @@ int RunCommand(const std::string& cmd, int argc, char** argv, Deployment& d, Use
                 as_of == 0 ? " (latest)" : "",
                 static_cast<unsigned long long>(stats.value().files_skipped));
     if (stats.value().files_unnamed > 0) {
-      // An incomplete restore must not look complete: legacy paths whose
-      // names were never stored cannot be enumerated, so they are missing
-      // from out_dir until a backup touches them.
+      // An incomplete restore must not look complete: paths whose names
+      // could not be resolved across the clouds are missing from out_dir.
       std::fprintf(stderr,
-                   "WARNING: %llu path(s) predate name storage and were NOT restored; "
-                   "back them up once to make them enumerable\n",
+                   "WARNING: %llu path(s) could not be resolved and were NOT restored; "
+                   "fewer than k clouds list them, or their name shares disagree\n",
                    static_cast<unsigned long long>(stats.value().files_unnamed));
       return 1;
     }
@@ -815,27 +823,28 @@ int RunCommand(const std::string& cmd, int argc, char** argv, Deployment& d, Use
 }  // namespace
 
 int main(int argc, char** argv) {
-  UserId user = TakeFlag(&argc, argv, "user", 1);
-  uint64_t gen = TakeFlag(&argc, argv, "gen", 0);
-  uint64_t keep = TakeFlag(&argc, argv, "keep", 0);
-  uint64_t within_weeks = TakeFlag(&argc, argv, "within-weeks", 0);
-  uint64_t as_of = TakeFlag(&argc, argv, "as-of", 0);
+  bool bad_flag = false;
+  UserId user = TakeFlag(&argc, argv, "user", 1, &bad_flag);
+  uint64_t gen = TakeFlag(&argc, argv, "gen", 0, &bad_flag);
+  uint64_t keep = TakeFlag(&argc, argv, "keep", 0, &bad_flag);
+  uint64_t within_weeks = TakeFlag(&argc, argv, "within-weeks", 0, &bad_flag);
+  uint64_t as_of = TakeFlag(&argc, argv, "as-of", 0, &bad_flag);
   bool json = TakeBoolFlag(&argc, argv, "json");
   bool show_metrics = TakeBoolFlag(&argc, argv, "metrics");
   bool trace = TakeBoolFlag(&argc, argv, "trace");
   std::vector<std::string> chrome_flags = TakeFlagAll(&argc, argv, "chrome-json");
   std::string chrome_json = chrome_flags.empty() ? "" : chrome_flags.back();
   trace = trace || !chrome_json.empty();
-  uint64_t serve_ms = TakeFlag(&argc, argv, "serve-metrics-ms", 0);
-  uint64_t serve_port = TakeFlag(&argc, argv, "serve-metrics-port", 0);
+  uint64_t serve_ms = TakeFlag(&argc, argv, "serve-metrics-ms", 0, &bad_flag);
+  uint64_t serve_port = TakeFlag(&argc, argv, "serve-metrics-port", 0, &bad_flag);
   std::vector<std::string> clouds = TakeFlagAll(&argc, argv, "cloud");
   RetryPolicy retry;  // HTTP clouds only; directory clouds never retry
   retry.max_attempts =
-      static_cast<int>(TakeFlag(&argc, argv, "retry-attempts", 4));
-  retry.initial_backoff_ms = TakeFlag(&argc, argv, "retry-backoff-ms", 50);
+      static_cast<int>(TakeFlag(&argc, argv, "retry-attempts", 4, &bad_flag));
+  retry.initial_backoff_ms = TakeFlag(&argc, argv, "retry-backoff-ms", 50, &bad_flag);
   retry.max_backoff_ms = retry.initial_backoff_ms * 20;
-  retry.overall_deadline_ms = TakeFlag(&argc, argv, "retry-deadline-ms", 0);
-  if (argc < 3) {
+  retry.overall_deadline_ms = TakeFlag(&argc, argv, "retry-deadline-ms", 0, &bad_flag);
+  if (bad_flag || argc < 3) {
     return Usage();
   }
   if (clouds.size() > static_cast<size_t>(kN)) {

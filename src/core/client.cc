@@ -216,12 +216,10 @@ void BackupSession::UploaderLoop(size_t lane) {
     ScopedTraceParent trace_parent(w->trace_.context());
     ScopedSpan lane_span(client_->opts_.tracer, "uploader");
     lane_span.AnnotateKV("cloud", static_cast<uint64_t>(cloud));
-    Status st = client_->StreamUploadToCloud(cloud, static_cast<int>(lane),
-                                             w->path_keys_[cloud], &w->path_id_,
-                                             w->path_name_len_, &w->file_size_,
-                                             &w->upload_opts_, &w->pool_, &w->abort_,
-                                             &w->file_stats_, &w->stats_mu_,
-                                             &w->lane_generations_[lane]);
+    Status st = client_->UploadLane(cloud, static_cast<int>(lane), w->path_keys_[cloud],
+                                    &w->path_id_, w->path_name_len_, &w->file_size_,
+                                    &w->upload_opts_, &w->pool_, &w->abort_, &w->file_stats_,
+                                    &w->stats_mu_, &w->lane_generations_[lane]);
     w->cloud_promises_[lane].set_value(st);
   }
 }
@@ -444,13 +442,6 @@ Status BackupSession::UploadWriter::Finish(UploadStats* stats) {
 
 Status CdstoreClient::Upload(const std::string& path_name, ConstByteSpan data,
                              UploadStats* stats, const UploadFileOptions& options) {
-  if (!opts_.streaming_upload) {
-    ASSIGN_OR_RETURN(std::vector<Bytes> path_keys, PathKeys(path_name));
-    TraceRequest trace(opts_.tracer, "upload");
-    ScopedTraceParent trace_parent(trace.context());
-    return UploadBarrier(path_keys, PathIdOf(path_name),
-                         static_cast<uint32_t>(path_name.size()), data, options, stats);
-  }
   // Thin wrapper: a one-file session. Chunking, encoding, dedup, transfer,
   // and stats are identical to any other session upload.
   ASSIGN_OR_RETURN(std::unique_ptr<BackupSession> session, OpenBackupSession());
@@ -463,14 +454,12 @@ Status CdstoreClient::Upload(const std::string& path_name, ConstByteSpan data,
 // and interleaves dedup queries, batched transfers, and the final recipe
 // put. Pending shares accumulate until stream_batch_bytes, then one FpQuery
 // settles their dedup status and the unique ones join the transfer batch.
-Status CdstoreClient::StreamUploadToCloud(int cloud, int consumer, const Bytes& path_key,
-                                          const Bytes* path_id, uint32_t path_name_len,
-                                          const uint64_t* file_size,
-                                          const UploadFileOptions* fopts,
-                                          BroadcastQueue<CodingPipeline::EncodedSecret>* in,
-                                          const std::atomic<bool>* abort_upload,
-                                          UploadStats* stats, Mutex* stats_mu,
-                                          uint64_t* bound_generation) {
+Status CdstoreClient::UploadLane(int cloud, int consumer, const Bytes& path_key,
+                                 const Bytes* path_id, uint32_t path_name_len,
+                                 const uint64_t* file_size, const UploadFileOptions* fopts,
+                                 BroadcastQueue<CodingPipeline::EncodedSecret>* in,
+                                 const std::atomic<bool>* abort_upload, UploadStats* stats,
+                                 Mutex* stats_mu, uint64_t* bound_generation) {
   std::vector<RecipeEntry> recipe;
   std::unordered_set<Fingerprint, FingerprintHash> in_flight;
   uint64_t transferred = 0;
@@ -672,181 +661,6 @@ Status CdstoreClient::StreamUploadToCloud(int cloud, int consumer, const Bytes& 
   return Status::Ok();
 }
 
-Status CdstoreClient::UploadToCloud(int cloud, const Bytes& path_key, const Bytes& path_id,
-                                    uint32_t path_name_len, uint64_t file_size,
-                                    const UploadFileOptions& fopts,
-                                    const std::vector<RecipeEntry>& recipe,
-                                    const std::vector<const Bytes*>& shares,
-                                    UploadStats* stats, Mutex* stats_mu,
-                                    uint64_t* bound_generation) {
-  uint64_t rpcs = 0;
-
-  // 1. Intra-user dedup query (§3.3).
-  FpQueryRequest query;
-  query.user = user_;
-  query.fps.reserve(recipe.size());
-  for (const RecipeEntry& e : recipe) {
-    query.fps.push_back(e.fp);
-  }
-  ++rpcs;
-  ASSIGN_OR_RETURN(FpQueryReply query_reply, CallTyped<FpQueryReply>(cloud, query));
-  if (query_reply.duplicate.size() != recipe.size()) {
-    return Status::Internal("fp query reply arity mismatch");
-  }
-
-  // Deduplicate within this upload as well: identical secrets produce
-  // identical shares, and only the first instance needs transfer.
-  std::vector<uint8_t> send(recipe.size(), 0);
-  std::unordered_set<Fingerprint, FingerprintHash> in_flight;
-  uint64_t transferred = 0;
-  uint64_t dup = 0;
-  for (size_t i = 0; i < recipe.size(); ++i) {
-    if (query_reply.duplicate[i] != 0 || in_flight.count(recipe[i].fp) > 0) {
-      ++dup;
-      continue;
-    }
-    send[i] = 1;
-    in_flight.insert(recipe[i].fp);
-  }
-
-  // 2. Upload unique shares in 4MB batches (§4.1).
-  UploadSharesRequest batch;
-  batch.user = user_;
-  size_t batch_bytes = 0;
-  auto flush_batch = [&]() -> Status {
-    if (batch.shares.empty()) {
-      return Status::Ok();
-    }
-    ++rpcs;
-    RETURN_IF_ERROR(CallTyped<UploadSharesReply>(cloud, batch).status());
-    batch.shares.clear();
-    batch_bytes = 0;
-    return Status::Ok();
-  };
-  for (size_t i = 0; i < recipe.size(); ++i) {
-    if (send[i] == 0) {
-      continue;
-    }
-    batch.shares.push_back(*shares[i]);
-    batch_bytes += shares[i]->size();
-    transferred += shares[i]->size();
-    if (batch_bytes >= opts_.upload_batch_bytes) {
-      RETURN_IF_ERROR(flush_batch());
-    }
-  }
-  RETURN_IF_ERROR(flush_batch());
-
-  // 3. Finalize: metadata + recipe (§4.3).
-  PutFileRequest put;
-  put.user = user_;
-  put.path_key = path_key;
-  put.path_id = path_id;
-  put.path_name_len = path_name_len;
-  put.file_size = file_size;
-  put.mode = fopts.mode;
-  put.generation_id = fopts.generation_id;
-  put.timestamp_ms = fopts.timestamp_ms;
-  put.recipe = recipe;
-  ++rpcs;
-  ASSIGN_OR_RETURN(PutFileReply put_reply, CallTyped<PutFileReply>(cloud, put));
-  if (bound_generation != nullptr) {
-    *bound_generation = put_reply.generation_id;
-  }
-
-  if (stats != nullptr) {
-    MutexLock lock(*stats_mu);
-    stats->transferred_share_bytes += transferred;
-    stats->intra_duplicate_shares += dup;
-    CloudUploadStats& slot = CloudSlot(stats, cloud);
-    slot.transferred_share_bytes += transferred;
-    slot.intra_duplicate_shares += dup;
-    slot.rpcs += rpcs;
-  }
-  CountCloud("cdstore_client_dedup_hits_total", cloud, dup);
-  CountCloud("cdstore_client_dedup_misses_total", cloud, in_flight.size());
-  CountCloud("cdstore_client_transferred_share_bytes_total", cloud, transferred);
-  return Status::Ok();
-}
-
-Status CdstoreClient::UploadBarrier(const std::vector<Bytes>& path_keys, const Bytes& path_id,
-                                    uint32_t path_name_len, ConstByteSpan data,
-                                    const UploadFileOptions& fopts, UploadStats* stats) {
-  Stopwatch compute_watch;
-
-  // 1. Chunking (§4.2).
-  auto chunker = MakeChunker();
-  std::vector<Bytes> secrets;
-  auto sink = [&secrets](ConstByteSpan c) { secrets.emplace_back(c.begin(), c.end()); };
-  chunker->Update(data, sink);
-  chunker->Finish(sink);
-
-  // 2. Parallel convergent dispersal (§4.6).
-  std::vector<std::vector<Bytes>> shares;
-  RETURN_IF_ERROR(pipeline_.EncodeAll(secrets, &shares));
-  double compute_s = compute_watch.ElapsedSeconds();
-  if (metrics_.encode_ns_per_mb != nullptr && !data.empty()) {
-    metrics_.encode_ns_per_mb->Observe(static_cast<uint64_t>(
-        compute_s * 1e9 * (1 << 20) / static_cast<double>(data.size())));
-  }
-
-  // 3. Per-cloud recipes and share lists (share i -> cloud i, §3.2).
-  std::vector<std::vector<RecipeEntry>> recipes(opts_.n);
-  std::vector<std::vector<const Bytes*>> cloud_shares(opts_.n);
-  uint64_t logical_share_bytes = 0;
-  for (size_t s = 0; s < secrets.size(); ++s) {
-    for (int i = 0; i < opts_.n; ++i) {
-      const Bytes& share = shares[s][i];
-      RecipeEntry e;
-      e.fp = FingerprintOf(share);
-      e.secret_size = static_cast<uint32_t>(secrets[s].size());
-      e.share_size = static_cast<uint32_t>(share.size());
-      recipes[i].push_back(std::move(e));
-      cloud_shares[i].push_back(&share);
-      logical_share_bytes += share.size();
-    }
-  }
-  if (stats != nullptr) {
-    stats->logical_bytes += data.size();
-    stats->num_secrets += secrets.size();
-    stats->logical_share_bytes += logical_share_bytes;
-    stats->chunk_encode_seconds += compute_s;
-  }
-
-  // 4. Upload to all clouds concurrently (§4.6: one thread per cloud).
-  Mutex stats_mu;
-  std::vector<Status> results(opts_.n);
-  std::vector<uint64_t> bound_gens(opts_.n, 0);
-  std::vector<std::thread> threads;
-  threads.reserve(opts_.n);
-  TraceContext trace_ctx = CurrentTraceContext();
-  for (int i = 0; i < opts_.n; ++i) {
-    threads.emplace_back([&, i, trace_ctx]() {
-      ScopedTraceParent trace_parent(trace_ctx);
-      ScopedSpan lane_span(opts_.tracer, "uploader");
-      lane_span.AnnotateKV("cloud", static_cast<uint64_t>(i));
-      results[i] = UploadToCloud(i, path_keys[i], path_id, path_name_len, data.size(), fopts,
-                                 recipes[i], cloud_shares[i], stats, &stats_mu,
-                                 &bound_gens[i]);
-    });
-  }
-  for (auto& th : threads) {
-    th.join();
-  }
-  for (int i = 0; i < opts_.n; ++i) {
-    if (!results[i].ok()) {
-      return Status(results[i].code(),
-                    "cloud " + std::to_string(i) + ": " + results[i].message());
-    }
-  }
-  std::vector<int> cloud_ids(opts_.n);
-  std::iota(cloud_ids.begin(), cloud_ids.end(), 0);
-  RETURN_IF_ERROR(CheckGenerationLockstep(cloud_ids, bound_gens));
-  if (stats != nullptr) {
-    stats->generation_id = bound_gens[0];
-  }
-  return Status::Ok();
-}
-
 // -------------------------------------------------------------- download --
 
 Result<GetFileReply> CdstoreClient::FetchRecipe(int cloud, const Bytes& path_key,
@@ -856,36 +670,6 @@ Result<GetFileReply> CdstoreClient::FetchRecipe(int cloud, const Bytes& path_key
   req.path_key = path_key;
   req.generation = generation;
   return CallTyped<GetFileReply>(cloud, req);
-}
-
-Result<CdstoreClient::FetchedShares> CdstoreClient::FetchShares(
-    int cloud, const std::vector<RecipeEntry>& recipe) {
-  FetchedShares out;
-  out.shares.reserve(recipe.size());
-  size_t i = 0;
-  while (i < recipe.size()) {
-    GetSharesRequest req;
-    req.user = user_;
-    size_t batch_bytes = 0;
-    while (i < recipe.size() && batch_bytes < opts_.download_batch_bytes) {
-      req.fps.push_back(recipe[i].fp);
-      batch_bytes += recipe[i].share_size;
-      ++i;
-    }
-    ++out.rpcs;
-    ASSIGN_OR_RETURN(Bytes frame, CallCloud(cloud, Encode(req)));
-    RETURN_IF_ERROR(DecodeIfError(frame));
-    std::vector<ConstByteSpan> spans;
-    RETURN_IF_ERROR(DecodeShareSpans(frame, &spans));
-    if (spans.size() != req.fps.size()) {
-      return Status::Internal("share reply arity mismatch");
-    }
-    // Adopting the frame moves only the vector header; the heap buffer the
-    // spans point into stays put.
-    out.frames.push_back(std::move(frame));
-    out.shares.insert(out.shares.end(), spans.begin(), spans.end());
-  }
-  return out;
 }
 
 Status CdstoreClient::BruteForceSecret(const std::vector<Bytes>& path_keys,
@@ -906,14 +690,15 @@ Status CdstoreClient::BruteForceSecret(const std::vector<Bytes>& path_keys,
     if (!recipe.ok() || recipe.value().recipe.size() != num_secrets) {
       continue;
     }
-    std::vector<RecipeEntry> one = {recipe.value().recipe[s]};
-    auto extra = FetchShares(i, one);
+    GetSharesRequest req;
+    req.user = user_;
+    req.fps = {recipe.value().recipe[s].fp};
+    auto extra = CallTyped<GetSharesReply>(i, req);
     if (!extra.ok() || extra.value().shares.size() != 1) {
       continue;
     }
-    ConstByteSpan share = extra.value().shares[0];
     all_ids.push_back(i);
-    all_shares.emplace_back(share.begin(), share.end());
+    all_shares.push_back(std::move(extra.value().shares[0]));
   }
   return DecodeWithBruteForce(*scheme_, all_ids, all_shares, secret_size, out);
 }
@@ -923,10 +708,7 @@ Status CdstoreClient::Download(const std::string& path_name, ByteSink& sink,
   ASSIGN_OR_RETURN(std::vector<Bytes> path_keys, PathKeys(path_name));
   TraceRequest trace(opts_.tracer, "download");
   ScopedTraceParent trace_parent(trace.context());
-  if (opts_.pipelined_download) {
-    return DownloadPipelined(path_keys, generation, sink, stats);
-  }
-  return DownloadBarrier(path_keys, generation, sink, stats);
+  return DownloadPipelined(path_keys, generation, sink, stats);
 }
 
 Result<Bytes> CdstoreClient::Download(const std::string& path_name, DownloadStats* stats,
@@ -1207,7 +989,7 @@ Status CdstoreClient::DownloadPipelined(const std::vector<Bytes>& path_keys,
   uint64_t received = 0;
   std::vector<uint64_t> received_per_cloud(n, 0);
   // Normally filled from batch deliveries; for a zero-batch (empty) file,
-  // seeded with the recruited lanes so the stat matches the barrier path.
+  // seeded with the recruited lanes, which did serve the (empty) restore.
   std::set<int> clouds_used;
   if (batches.empty()) {
     clouds_used.insert(initial_clouds.begin(), initial_clouds.end());
@@ -1326,126 +1108,6 @@ Status CdstoreClient::DownloadPipelined(const std::vector<Bytes>& path_keys,
       }
       CloudDownloadStats& slot = CloudSlot(stats, c);
       slot.rpcs += ctx.rpcs[c];
-      slot.received_share_bytes += received_per_cloud[c];
-    }
-  }
-  return Status::Ok();
-}
-
-Status CdstoreClient::DownloadBarrier(const std::vector<Bytes>& path_keys,
-                                      uint64_t generation, ByteSink& sink,
-                                      DownloadStats* stats) {
-  // Collect recipes + all shares from any k reachable clouds (§3.1), then
-  // decode everything, then emit — the fetch-then-decode barrier the
-  // pipelined path removes; kept for comparison benchmarks and tests.
-  const int n = opts_.n;
-  std::vector<int> clouds;
-  std::vector<std::vector<RecipeEntry>> recipes;
-  std::vector<FetchedShares> cloud_share_lists;
-  std::vector<uint64_t> rpcs_per_cloud(n, 0);
-  uint64_t file_size = 0;
-  size_t num_secrets = 0;
-  uint64_t resolved_gen = generation;
-  bool have_meta = false;
-  Status last_error = Status::Unavailable("no cloud reachable");
-  for (int i = 0; i < n && clouds.size() < static_cast<size_t>(opts_.k); ++i) {
-    ++rpcs_per_cloud[i];
-    auto recipe = FetchRecipe(i, path_keys[i], have_meta ? resolved_gen : generation);
-    if (!recipe.ok()) {
-      last_error = recipe.status();
-      continue;
-    }
-    if (!have_meta) {
-      file_size = recipe.value().file_size;
-      num_secrets = recipe.value().recipe.size();
-      resolved_gen = recipe.value().generation_id;
-      have_meta = true;
-    } else if (recipe.value().generation_id != resolved_gen) {
-      last_error = Status::Corruption("generation mismatch across clouds");
-      continue;
-    } else if (recipe.value().recipe.size() != num_secrets) {
-      last_error = Status::Corruption("recipe length mismatch across clouds");
-      continue;
-    }
-    auto shares = FetchShares(i, recipe.value().recipe);
-    if (!shares.ok()) {
-      last_error = shares.status();
-      continue;
-    }
-    rpcs_per_cloud[i] += shares.value().rpcs;
-    clouds.push_back(i);
-    recipes.push_back(std::move(recipe.value().recipe));
-    cloud_share_lists.push_back(std::move(shares.value()));
-  }
-  if (clouds.size() < static_cast<size_t>(opts_.k)) {
-    return Status(last_error.code(),
-                  "fewer than k clouds available: " + last_error.message());
-  }
-
-  // Regroup per secret (spans into the reply frames) and decode in
-  // parallel.
-  std::vector<std::vector<int>> ids(num_secrets, clouds);
-  std::vector<std::vector<ConstByteSpan>> per_secret(num_secrets);
-  std::vector<size_t> sizes(num_secrets);
-  uint64_t received = 0;
-  std::vector<uint64_t> received_per_cloud(n, 0);
-  for (size_t s = 0; s < num_secrets; ++s) {
-    per_secret[s].reserve(clouds.size());
-    for (size_t c = 0; c < clouds.size(); ++c) {
-      ConstByteSpan share = cloud_share_lists[c].shares[s];
-      received += share.size();
-      received_per_cloud[clouds[c]] += share.size();
-      per_secret[s].push_back(share);
-    }
-    sizes[s] = recipes[0][s].secret_size;
-  }
-  std::vector<Bytes> secrets;
-  Status decode_status;
-  {
-    ScopedSpan decode_span(opts_.tracer, "decode_batch");
-    decode_span.AnnotateKV("secrets", num_secrets);
-    decode_status = decode_pipeline_.DecodeAll(ids, per_secret, sizes, &secrets);
-  }
-
-  int brute_forced = 0;
-  if (!decode_status.ok()) {
-    // Per-secret fallback (§3.2).
-    for (size_t s = 0; s < num_secrets; ++s) {
-      Bytes out;
-      if (scheme_->DecodeSpans(ids[s], per_secret[s], sizes[s], &out).ok()) {
-        secrets[s] = std::move(out);
-        continue;
-      }
-      std::vector<Bytes> have;
-      have.reserve(per_secret[s].size());
-      for (ConstByteSpan sp : per_secret[s]) {
-        have.emplace_back(sp.begin(), sp.end());
-      }
-      RETURN_IF_ERROR(BruteForceSecret(path_keys, resolved_gen, s, num_secrets, ids[s],
-                                       std::move(have), sizes[s], &secrets[s]));
-      ++brute_forced;
-    }
-  }
-
-  uint64_t delivered = 0;
-  for (const Bytes& s : secrets) {
-    delivered += s.size();
-    RETURN_IF_ERROR(sink.Append(s));
-  }
-  if (delivered != file_size) {
-    return Status::Corruption("restored size mismatch");
-  }
-  if (stats != nullptr) {
-    stats->received_share_bytes += received;
-    stats->num_secrets += num_secrets;
-    stats->brute_force_recoveries += brute_forced;
-    stats->clouds_used = clouds;
-    for (int c = 0; c < n; ++c) {
-      if (rpcs_per_cloud[c] == 0 && received_per_cloud[c] == 0) {
-        continue;
-      }
-      CloudDownloadStats& slot = CloudSlot(stats, c);
-      slot.rpcs += rpcs_per_cloud[c];
       slot.received_share_bytes += received_per_cloud[c];
     }
   }
@@ -1579,7 +1241,6 @@ Result<NamespaceListing> CdstoreClient::ListPaths(uint32_t page_size) {
     PathInfo first_info;
   };
   std::map<Bytes, Candidate> by_id;
-  uint64_t unnamed_max = 0;
   int clouds_listed = 0;
   Status last_error = Status::Unavailable("no cloud reachable");
   for (int c = 0; c < opts_.n && clouds_listed < opts_.k; ++c) {
@@ -1605,24 +1266,15 @@ Result<NamespaceListing> CdstoreClient::ListPaths(uint32_t page_size) {
       continue;
     }
     ++clouds_listed;
-    uint64_t unnamed_here = 0;
     for (PathInfo& p : cloud_paths) {
-      if (p.path_id.empty() || p.name_share.empty() || p.name_len == 0) {
-        // Legacy head this cloud never upgraded: it has no identity the
-        // other clouds could corroborate. Counted once via the per-cloud
-        // max (each healthy cloud sees the same namespace).
-        ++unnamed_here;
-        continue;
-      }
       Candidate& cand = by_id[p.path_id];
-      cand.ids.push_back(c);
-      cand.shares.push_back(std::move(p.name_share));
-      if (cand.name_len == 0) {
+      if (cand.ids.empty()) {
         cand.name_len = p.name_len;
         cand.first_info = p;
       }
+      cand.ids.push_back(c);
+      cand.shares.push_back(std::move(p.name_share));
     }
-    unnamed_max = std::max(unnamed_max, unnamed_here);
   }
   if (clouds_listed < opts_.k) {
     return Status(last_error.code(),
@@ -1631,10 +1283,11 @@ Result<NamespaceListing> CdstoreClient::ListPaths(uint32_t page_size) {
                       last_error.message());
   }
   NamespaceListing out;
-  uint64_t partial = 0;  // matched by id on some clouds but fewer than k
   for (auto& [path_id, cand] : by_id) {
+    // A path id fewer than k clouds list (a cloud dropped it) cannot be
+    // decoded at all.
     if (cand.ids.size() < static_cast<size_t>(opts_.k)) {
-      ++partial;
+      ++out.unnamed_paths;
       continue;
     }
     Bytes name_bytes;
@@ -1643,7 +1296,7 @@ Result<NamespaceListing> CdstoreClient::ListPaths(uint32_t page_size) {
     // End-to-end check: the decoded name must hash back to the id the
     // entries were matched under, or a cloud served a cross-wired share.
     if (!st.ok() || PathIdOf(name) != path_id) {
-      ++partial;
+      ++out.unnamed_paths;
       continue;
     }
     NamespaceEntry e;
@@ -1655,14 +1308,6 @@ Result<NamespaceListing> CdstoreClient::ListPaths(uint32_t page_size) {
     e.latest_logical_bytes = cand.first_info.latest_logical_bytes;
     out.entries.push_back(std::move(e));
   }
-  // Unnamed total: id-matched paths that still couldn't be resolved
-  // (partial upgrades, short share sets, decode failures) plus the
-  // fully-anonymous legacy heads. A partially-upgraded path typically
-  // lists unnamed on the clouds that missed the upgrade AND as a <k
-  // candidate from the ones that took it — since anonymous entries carry
-  // nothing to match them across clouds, subtract the partials from the
-  // per-cloud anonymous max rather than double-counting that path.
-  out.unnamed_paths = partial + (unnamed_max > partial ? unnamed_max - partial : 0);
   std::sort(out.entries.begin(), out.entries.end(),
             [](const NamespaceEntry& a, const NamespaceEntry& b) {
               return a.path_name < b.path_name;
@@ -1719,9 +1364,9 @@ Result<RestoreNamespaceStats> CdstoreClient::RestoreNamespace(
     const RestoreSelector& selector, const RestoreSinkFactory& sink_factory) {
   ASSIGN_OR_RETURN(NamespaceListing listing, ListPaths());
   RestoreNamespaceStats out;
-  // Paths without reconstructible names cannot be restored; they are
+  // Paths whose names cannot be resolved cannot be restored; they are
   // reported (never silently dropped) so the caller can tell a complete
-  // restore from one with legacy holes.
+  // restore from one with holes.
   out.files_unnamed = listing.unnamed_paths;
   for (const NamespaceEntry& entry : listing.entries) {
     // Resolve the point-in-time generation. 0 selects the latest; with an

@@ -214,25 +214,10 @@ void CodingPipeline::Stream::Deliver(EncodedSecret bundle) {
   }
 }
 
-namespace {
-
-Status SchemeDecode(SecretSharing* scheme, const std::vector<int>& ids,
-                    const std::vector<Bytes>& shares, size_t secret_size, Bytes* secret) {
-  return scheme->Decode(ids, shares, secret_size, secret);
-}
-
-Status SchemeDecode(SecretSharing* scheme, const std::vector<int>& ids,
-                    const std::vector<ConstByteSpan>& shares, size_t secret_size,
-                    Bytes* secret) {
-  return scheme->DecodeSpans(ids, shares, secret_size, secret);
-}
-
-// Shared by the owned- and span-share DecodeAll overloads.
-template <typename ShareList>
-Status DecodeAllImpl(SecretSharing* scheme, ThreadPool* pool,
-                     const std::vector<std::vector<int>>& ids,
-                     const std::vector<ShareList>& shares,
-                     const std::vector<size_t>& secret_sizes, std::vector<Bytes>* secrets) {
+Status CodingPipeline::DecodeAll(const std::vector<std::vector<int>>& ids,
+                                 const std::vector<std::vector<ConstByteSpan>>& shares,
+                                 const std::vector<size_t>& secret_sizes,
+                                 std::vector<Bytes>* secrets) {
   if (ids.size() != shares.size() || shares.size() != secret_sizes.size()) {
     return Status::InvalidArgument("decode input arity mismatch");
   }
@@ -241,10 +226,10 @@ Status DecodeAllImpl(SecretSharing* scheme, ThreadPool* pool,
   Status first_error;
   for (size_t base = 0; base < shares.size(); base += kBatch) {
     size_t end = std::min(shares.size(), base + kBatch);
-    pool->Submit([scheme, &ids, &shares, &secret_sizes, secrets, &err_mu, &first_error, base,
+    pool_.Submit([this, &ids, &shares, &secret_sizes, secrets, &err_mu, &first_error, base,
                   end]() {
       for (size_t i = base; i < end; ++i) {
-        Status st = SchemeDecode(scheme, ids[i], shares[i], secret_sizes[i], &(*secrets)[i]);
+        Status st = scheme_->DecodeSpans(ids[i], shares[i], secret_sizes[i], &(*secrets)[i]);
         if (!st.ok()) {
           MutexLock lock(err_mu);
           if (first_error.ok()) {
@@ -255,24 +240,8 @@ Status DecodeAllImpl(SecretSharing* scheme, ThreadPool* pool,
       }
     });
   }
-  pool->Wait();
+  pool_.Wait();
   return first_error;
-}
-
-}  // namespace
-
-Status CodingPipeline::DecodeAll(const std::vector<std::vector<int>>& ids,
-                                 const std::vector<std::vector<Bytes>>& shares,
-                                 const std::vector<size_t>& secret_sizes,
-                                 std::vector<Bytes>* secrets) {
-  return DecodeAllImpl(scheme_, &pool_, ids, shares, secret_sizes, secrets);
-}
-
-Status CodingPipeline::DecodeAll(const std::vector<std::vector<int>>& ids,
-                                 const std::vector<std::vector<ConstByteSpan>>& shares,
-                                 const std::vector<size_t>& secret_sizes,
-                                 std::vector<Bytes>* secrets) {
-  return DecodeAllImpl(scheme_, &pool_, ids, shares, secret_sizes, secrets);
 }
 
 }  // namespace cdstore

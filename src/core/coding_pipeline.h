@@ -3,8 +3,9 @@
 // the input order.
 //
 // Two modes:
-//  - EncodeAll/DecodeAll: barrier-style batch over a materialized secret
-//    list (used by Download, the barrier upload path, and tests).
+//  - EncodeAll/DecodeAll: batch over a materialized secret list (DecodeAll
+//    decodes each batch of the pipelined download; EncodeAll serves the
+//    benches and tests).
 //  - Stream: a streaming encode session for the upload pipeline. Submit()
 //    feeds secrets (zero-copy spans where the caller's buffer outlives the
 //    stream); workers encode and fingerprint concurrently; the sink receives
@@ -53,14 +54,9 @@ class CodingPipeline {
                    std::vector<std::vector<Bytes>>* shares_per_secret);
 
   // Decodes per-secret share subsets. ids[i] names the clouds that
-  // produced shares[i]; secret_sizes[i] strips padding.
-  Status DecodeAll(const std::vector<std::vector<int>>& ids,
-                   const std::vector<std::vector<Bytes>>& shares,
-                   const std::vector<size_t>& secret_sizes, std::vector<Bytes>* secrets);
-
-  // Span-accepting overload: shares view caller-owned reply frames, which
-  // must stay alive for the duration of the call (zero-copy decode path of
-  // the pipelined download).
+  // produced shares[i]; secret_sizes[i] strips padding. The shares view
+  // caller-owned reply frames, which must stay alive for the duration of
+  // the call (zero-copy decode path of the pipelined download).
   Status DecodeAll(const std::vector<std::vector<int>>& ids,
                    const std::vector<std::vector<ConstByteSpan>>& shares,
                    const std::vector<size_t>& secret_sizes, std::vector<Bytes>* secrets);

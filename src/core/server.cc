@@ -223,13 +223,7 @@ Status CdstoreServer::LoadMeta() {
     RETURN_IF_ERROR(r.GetU64(&recipe_next));
     RETURN_IF_ERROR(r.GetU64(&stored_bytes));
     RETURN_IF_ERROR(r.GetU64(&files));
-    if (r.remaining() >= 8) {
-      RETURN_IF_ERROR(r.GetU64(&generations));
-    } else {
-      // Meta written before the namespace totals existed: recount once
-      // from the generation keyspace; the counter is maintained from here.
-      ASSIGN_OR_RETURN(generations, file_index_.TotalGenerationCount());
-    }
+    RETURN_IF_ERROR(r.GetU64(&generations));
     {
       MutexLock commit(commit_mu_);
       physical_share_bytes_ = stored_bytes;
@@ -488,6 +482,7 @@ void CdstoreServer::PutFile(const PutFileRequest& req, ReplyBuilder& rb) {
     return;
   }
 
+  Bytes path_hash = Sha256::Hash(req.path_key);
   MutexLock commit(commit_mu_);
   // kReplaceLatest drops the replaced latest generation's references;
   // kPutGeneration (repair) drops the same-id record's, if one exists;
@@ -498,7 +493,7 @@ void CdstoreServer::PutFile(const PutFileRequest& req, ReplyBuilder& rb) {
   bool replacing = false;
   if (req.mode != PutFileMode::kNewGeneration) {
     uint64_t lookup = req.mode == PutFileMode::kPutGeneration ? req.generation_id : 0;
-    auto old_rec = file_index_.GetGeneration(req.user, req.path_key, lookup);
+    auto old_rec = file_index_.GetGeneration(req.user, path_hash, lookup);
     if (old_rec.ok()) {
       // The replaced generation's recipe MUST be droppable: swallowing a
       // fetch failure here would silently append instead of replace and
@@ -572,10 +567,11 @@ void CdstoreServer::PutFile(const PutFileRequest& req, ReplyBuilder& rb) {
 
   bool new_path = false;
   bool new_generation = false;
-  // The namespace metadata riding on the request (cross-cloud path id +
-  // name length) upgrades the path head on every write — including heads
-  // that predate name storage (the lazy v0 -> v1 migration).
+  // Every write stores the request's namespace fields in the path head: the
+  // path_key is this cloud's name share, plus the cross-cloud path id and
+  // the name length.
   PathNameInfo name;
+  name.name_share = req.path_key;
   name.path_id = req.path_id;
   name.name_len = req.path_name_len;
   if (req.mode == PutFileMode::kPutGeneration ||
@@ -587,14 +583,14 @@ void CdstoreServer::PutFile(const PutFileRequest& req, ReplyBuilder& rb) {
     if (req.mode == PutFileMode::kReplaceLatest) {
       rec.generation_id = replaced_gen;
     }
-    if (Status st = file_index_.PutGeneration(req.user, req.path_key, rec, &new_path,
-                                              &new_generation, &name);
+    if (Status st = file_index_.PutGeneration(req.user, path_hash, name, rec, &new_path,
+                                              &new_generation);
         !st.ok()) {
       rb.SendError(st);
       return;
     }
   } else {
-    auto stored = file_index_.AppendGeneration(req.user, req.path_key, rec, &new_path, &name);
+    auto stored = file_index_.AppendGeneration(req.user, path_hash, name, rec, &new_path);
     if (!stored.ok()) {
       rb.SendError(stored.status());
       return;
@@ -620,10 +616,11 @@ void CdstoreServer::PutFile(const PutFileRequest& req, ReplyBuilder& rb) {
 void CdstoreServer::GetFile(const GetFileRequest& req, ReplyBuilder& rb) {
   ReaderMutexLock ops(ops_mu_);
   CountUser("cdstore_server_user_requests_total", req.user);
+  Bytes path_hash = Sha256::Hash(req.path_key);
   Result<GenerationRecord> rec = Status::NotFound("unresolved");
   {
     MutexLock commit(commit_mu_);
-    rec = file_index_.GetGeneration(req.user, req.path_key, req.generation);
+    rec = file_index_.GetGeneration(req.user, path_hash, req.generation);
   }
   if (!rec.ok()) {
     rb.SendError(rec.status());
@@ -714,7 +711,7 @@ Status CdstoreServer::DeleteGenerationLocked(UserId user, ConstByteSpan path_has
   RETURN_IF_ERROR(DropRecipeRefsLocked(recipe, user, orphaned));
   bool removed = false;
   RETURN_IF_ERROR(
-      file_index_.DeleteGenerationHashed(user, path_hash, rec.generation_id, &removed));
+      file_index_.DeleteGeneration(user, path_hash, rec.generation_id, &removed));
   if (removed) {
     --file_count_;
   }
@@ -728,9 +725,9 @@ Status CdstoreServer::DeleteGenerationLocked(UserId user, ConstByteSpan path_has
 void CdstoreServer::DeleteFile(const DeleteFileRequest& req, ReplyBuilder& rb) {
   ReaderMutexLock ops(ops_mu_);
   CountUser("cdstore_server_user_requests_total", req.user);
-  MutexLock commit(commit_mu_);
   Bytes path_hash = Sha256::Hash(req.path_key);
-  auto gens = file_index_.ListGenerationsHashed(req.user, path_hash);
+  MutexLock commit(commit_mu_);
+  auto gens = file_index_.ListGenerations(req.user, path_hash);
   if (!gens.ok()) {
     // A never-uploaded (or already deleted) path is a clean NotFound, not
     // an index-internal error.
@@ -759,10 +756,11 @@ void CdstoreServer::DeleteFile(const DeleteFileRequest& req, ReplyBuilder& rb) {
 
 void CdstoreServer::ListVersions(const ListVersionsRequest& req, ReplyBuilder& rb) {
   ReaderMutexLock ops(ops_mu_);
+  Bytes path_hash = Sha256::Hash(req.path_key);
   Result<std::vector<GenerationRecord>> gens = Status::NotFound("unresolved");
   {
     MutexLock commit(commit_mu_);
-    gens = file_index_.ListGenerations(req.user, req.path_key);
+    gens = file_index_.ListGenerations(req.user, path_hash);
   }
   if (!gens.ok()) {
     rb.SendError(gens.status().code() == StatusCode::kNotFound
@@ -790,14 +788,15 @@ void CdstoreServer::DeleteVersion(const DeleteVersionRequest& req, ReplyBuilder&
     rb.SendError(Status::InvalidArgument("generation id must be nonzero"));
     return;
   }
+  Bytes path_hash = Sha256::Hash(req.path_key);
   MutexLock commit(commit_mu_);
-  auto rec = file_index_.GetGeneration(req.user, req.path_key, req.generation_id);
+  auto rec = file_index_.GetGeneration(req.user, path_hash, req.generation_id);
   if (!rec.ok()) {
     rb.SendError(rec.status());
     return;
   }
   DeleteVersionReply reply;
-  if (Status st = DeleteGenerationLocked(req.user, Sha256::Hash(req.path_key), rec.value(),
+  if (Status st = DeleteGenerationLocked(req.user, path_hash, rec.value(),
                                          &reply.shares_orphaned);
       !st.ok()) {
     rb.SendError(st);
@@ -818,7 +817,7 @@ Status CdstoreServer::ApplyRetentionToPathLocked(UserId user, ConstByteSpan path
     *path_removed = false;
   }
   ASSIGN_OR_RETURN(std::vector<GenerationRecord> all,
-                   file_index_.ListGenerationsHashed(user, path_hash));
+                   file_index_.ListGenerations(user, path_hash));
   // A generation survives if EITHER keep rule claims it; with no rules set
   // the request is a no-op. ListGenerations is ascending, so the newest
   // keep_last_n are the vector's tail.
@@ -901,7 +900,7 @@ void CdstoreServer::ListPaths(const ListPathsRequest& req, ReplyBuilder& rb) {
     p.latest_generation = e.head.latest_generation;
     p.generation_count = e.head.generation_count;
     auto latest =
-        file_index_.GetGenerationHashed(req.user, e.path_hash, e.head.latest_generation);
+        file_index_.GetGeneration(req.user, e.path_hash, e.head.latest_generation);
     if (latest.ok()) {
       p.latest_timestamp_ms = latest.value().timestamp_ms;
       p.latest_logical_bytes = latest.value().file_size;

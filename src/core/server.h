@@ -198,8 +198,7 @@ class CdstoreServer : public ServerService {
   Status DropRecipeRefsLocked(const FileRecipe& recipe, UserId user, uint32_t* orphaned)
       REQUIRES(commit_mu_);
   // Deletes one generation end to end (refs + index record), addressed by
-  // the path-head hash so namespace sweeps can prune paths whose legacy
-  // heads never stored a name. Adjusts file_count_ / generation_count_;
+  // the path-head hash. Adjusts file_count_ / generation_count_;
   // *path_removed (optional) reports a dropped head.
   Status DeleteGenerationLocked(UserId user, ConstByteSpan path_hash,
                                 const GenerationRecord& rec, uint32_t* orphaned,

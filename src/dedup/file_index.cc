@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/crypto/sha256.h"
 #include "src/util/io.h"
 #include "src/util/logging.h"
 
@@ -11,7 +10,7 @@ namespace cdstore {
 namespace {
 constexpr char kHeadPrefix = 'F';
 constexpr char kGenPrefix = 'G';
-constexpr uint8_t kPathHeadV1 = 1;
+constexpr uint8_t kPathHeadTag = 1;
 
 void AppendUserBe(Bytes* key, UserId user) {
   for (int i = 7; i >= 0; --i) {
@@ -24,26 +23,14 @@ void AppendU64Be(Bytes* key, uint64_t v) {
     key->push_back(static_cast<uint8_t>(v >> (8 * i)));
   }
 }
+
+// Every write refreshes the head's namespace fields from the request.
+void SetName(PathHead* head, const PathNameInfo& name) {
+  head->name_share.assign(name.name_share.begin(), name.name_share.end());
+  head->path_id.assign(name.path_id.begin(), name.path_id.end());
+  head->name_len = name.name_len;
+}
 }  // namespace
-
-Bytes FileIndexEntry::Serialize() const {
-  BufferWriter w;
-  w.PutU64(file_size);
-  w.PutU64(num_secrets);
-  w.PutU64(recipe_container_id);
-  w.PutU32(recipe_index);
-  return w.Take();
-}
-
-Result<FileIndexEntry> FileIndexEntry::Deserialize(ConstByteSpan data) {
-  FileIndexEntry e;
-  BufferReader r(data);
-  RETURN_IF_ERROR(r.GetU64(&e.file_size));
-  RETURN_IF_ERROR(r.GetU64(&e.num_secrets));
-  RETURN_IF_ERROR(r.GetU64(&e.recipe_container_id));
-  RETURN_IF_ERROR(r.GetU32(&e.recipe_index));
-  return e;
-}
 
 Bytes GenerationRecord::Serialize() const {
   BufferWriter w;
@@ -75,15 +62,10 @@ Bytes PathHead::Serialize() const {
   w.PutU64(next_generation);
   w.PutU64(latest_generation);
   w.PutU64(generation_count);
-  // A head that has acquired any namespace metadata serializes as v1; one
-  // that never did stays in the legacy 24-byte layout, so a no-metadata
-  // rewrite round-trips byte-identically.
-  if (!path_id.empty() || !name_share.empty() || name_len != 0) {
-    w.PutU8(kPathHeadV1);
-    w.PutBytes(path_id);
-    w.PutBytes(name_share);
-    w.PutU32(name_len);
-  }
+  w.PutU8(kPathHeadTag);
+  w.PutBytes(path_id);
+  w.PutBytes(name_share);
+  w.PutU32(name_len);
   return w.Take();
 }
 
@@ -93,17 +75,17 @@ Result<PathHead> PathHead::Deserialize(ConstByteSpan data) {
   RETURN_IF_ERROR(r.GetU64(&h.next_generation));
   RETURN_IF_ERROR(r.GetU64(&h.latest_generation));
   RETURN_IF_ERROR(r.GetU64(&h.generation_count));
-  if (r.remaining() == 0) {
-    return h;  // legacy v0 record: counters only, no stored name
-  }
-  uint8_t version = 0;
-  RETURN_IF_ERROR(r.GetU8(&version));
-  if (version != kPathHeadV1) {
-    return Status::Corruption("unknown PathHead version " + std::to_string(version));
+  uint8_t tag = 0;
+  RETURN_IF_ERROR(r.GetU8(&tag));
+  if (tag != kPathHeadTag) {
+    return Status::Corruption("unknown PathHead layout " + std::to_string(tag));
   }
   RETURN_IF_ERROR(r.GetBytes(&h.path_id));
   RETURN_IF_ERROR(r.GetBytes(&h.name_share));
   RETURN_IF_ERROR(r.GetU32(&h.name_len));
+  if (r.remaining() != 0) {
+    return Status::Corruption("trailing bytes after PathHead");
+  }
   return h;
 }
 
@@ -132,8 +114,7 @@ Bytes FileIndex::GenKeyForHash(UserId user, ConstByteSpan path_hash,
   return key;
 }
 
-Result<std::optional<PathHead>> FileIndex::GetHeadByHash(UserId user,
-                                                         ConstByteSpan path_hash) {
+Result<std::optional<PathHead>> FileIndex::GetHead(UserId user, ConstByteSpan path_hash) {
   Bytes value;
   Status st = db_->Get(HeadKeyForHash(user, path_hash), &value);
   if (st.code() == StatusCode::kNotFound) {
@@ -144,61 +125,41 @@ Result<std::optional<PathHead>> FileIndex::GetHeadByHash(UserId user,
   return std::optional<PathHead>(head);
 }
 
-void FileIndex::UpgradeHead(PathHead* head, ConstByteSpan path_key,
-                            const PathNameInfo* name) {
-  // The name share IS the path key this cloud already holds, so every
-  // mutating touch can refresh it for free — this is what upgrades legacy
-  // v0 heads without an index-wide rewrite. Caller-supplied fields only
-  // ever fill in blanks or overwrite with equal-provenance data; empty
-  // inputs never erase stored metadata.
-  head->name_share.assign(path_key.begin(), path_key.end());
-  if (name != nullptr) {
-    if (!name->path_id.empty()) {
-      head->path_id.assign(name->path_id.begin(), name->path_id.end());
-    }
-    if (name->name_len != 0) {
-      head->name_len = name->name_len;
-    }
-  }
-}
-
-Result<GenerationRecord> FileIndex::AppendGeneration(UserId user, ConstByteSpan path_key,
+Result<GenerationRecord> FileIndex::AppendGeneration(UserId user, ConstByteSpan path_hash,
+                                                     const PathNameInfo& name,
                                                      const GenerationRecord& rec,
-                                                     bool* new_path,
-                                                     const PathNameInfo* name) {
-  Bytes hash = Sha256::Hash(path_key);
-  ASSIGN_OR_RETURN(std::optional<PathHead> maybe_head, GetHeadByHash(user, hash));
+                                                     bool* new_path) {
+  ASSIGN_OR_RETURN(std::optional<PathHead> maybe_head, GetHead(user, path_hash));
   if (new_path != nullptr) {
     *new_path = !maybe_head.has_value();
   }
   PathHead head = maybe_head.value_or(PathHead{});
-  UpgradeHead(&head, path_key, name);
+  SetName(&head, name);
   GenerationRecord stored = rec;
   stored.generation_id = head.next_generation;
   head.next_generation = stored.generation_id + 1;
   head.latest_generation = std::max(head.latest_generation, stored.generation_id);
   head.generation_count += 1;
   WriteBatch batch;
-  batch.Put(GenKeyForHash(user, hash, stored.generation_id), stored.Serialize());
-  batch.Put(HeadKeyForHash(user, hash), head.Serialize());
+  batch.Put(GenKeyForHash(user, path_hash, stored.generation_id), stored.Serialize());
+  batch.Put(HeadKeyForHash(user, path_hash), head.Serialize());
   RETURN_IF_ERROR(db_->Write(batch));
   return stored;
 }
 
-Status FileIndex::PutGeneration(UserId user, ConstByteSpan path_key,
+Status FileIndex::PutGeneration(UserId user, ConstByteSpan path_hash, const PathNameInfo& name,
                                 const GenerationRecord& rec, bool* new_path,
-                                bool* new_generation, const PathNameInfo* name) {
+                                bool* new_generation) {
   if (rec.generation_id == 0) {
     return Status::InvalidArgument("generation id must be nonzero");
   }
-  Bytes hash = Sha256::Hash(path_key);
-  ASSIGN_OR_RETURN(std::optional<PathHead> maybe_head, GetHeadByHash(user, hash));
+  ASSIGN_OR_RETURN(std::optional<PathHead> maybe_head, GetHead(user, path_hash));
   if (new_path != nullptr) {
     *new_path = !maybe_head.has_value();
   }
   PathHead head = maybe_head.value_or(PathHead{});
-  UpgradeHead(&head, path_key, name);
-  Bytes gen_key = GenKeyForHash(user, hash, rec.generation_id);
+  SetName(&head, name);
+  Bytes gen_key = GenKeyForHash(user, path_hash, rec.generation_id);
   Bytes existing;
   Status probe = db_->Get(gen_key, &existing);
   if (probe.code() == StatusCode::kNotFound) {
@@ -216,19 +177,14 @@ Status FileIndex::PutGeneration(UserId user, ConstByteSpan path_key,
   head.next_generation = std::max(head.next_generation, rec.generation_id + 1);
   WriteBatch batch;
   batch.Put(gen_key, rec.Serialize());
-  batch.Put(HeadKeyForHash(user, hash), head.Serialize());
+  batch.Put(HeadKeyForHash(user, path_hash), head.Serialize());
   return db_->Write(batch);
 }
 
-Result<GenerationRecord> FileIndex::GetGeneration(UserId user, ConstByteSpan path_key,
+Result<GenerationRecord> FileIndex::GetGeneration(UserId user, ConstByteSpan path_hash,
                                                   uint64_t generation) {
-  return GetGenerationHashed(user, Sha256::Hash(path_key), generation);
-}
-
-Result<GenerationRecord> FileIndex::GetGenerationHashed(UserId user, ConstByteSpan path_hash,
-                                                        uint64_t generation) {
   if (generation == 0) {
-    ASSIGN_OR_RETURN(std::optional<PathHead> head, GetHeadByHash(user, path_hash));
+    ASSIGN_OR_RETURN(std::optional<PathHead> head, GetHead(user, path_hash));
     if (!head.has_value() || head->latest_generation == 0) {
       return Status::NotFound("file not found");
     }
@@ -244,13 +200,8 @@ Result<GenerationRecord> FileIndex::GetGenerationHashed(UserId user, ConstByteSp
 }
 
 Result<std::vector<GenerationRecord>> FileIndex::ListGenerations(UserId user,
-                                                                 ConstByteSpan path_key) {
-  return ListGenerationsHashed(user, Sha256::Hash(path_key));
-}
-
-Result<std::vector<GenerationRecord>> FileIndex::ListGenerationsHashed(
-    UserId user, ConstByteSpan path_hash) {
-  ASSIGN_OR_RETURN(std::optional<PathHead> head, GetHeadByHash(user, path_hash));
+                                                                 ConstByteSpan path_hash) {
+  ASSIGN_OR_RETURN(std::optional<PathHead> head, GetHead(user, path_hash));
   if (!head.has_value()) {
     return Status::NotFound("file not found");
   }
@@ -271,17 +222,12 @@ Result<std::vector<GenerationRecord>> FileIndex::ListGenerationsHashed(
   return out;
 }
 
-Status FileIndex::DeleteGeneration(UserId user, ConstByteSpan path_key, uint64_t generation,
+Status FileIndex::DeleteGeneration(UserId user, ConstByteSpan path_hash, uint64_t generation,
                                    bool* path_removed) {
-  return DeleteGenerationHashed(user, Sha256::Hash(path_key), generation, path_removed);
-}
-
-Status FileIndex::DeleteGenerationHashed(UserId user, ConstByteSpan path_hash,
-                                         uint64_t generation, bool* path_removed) {
   if (path_removed != nullptr) {
     *path_removed = false;
   }
-  ASSIGN_OR_RETURN(std::optional<PathHead> maybe_head, GetHeadByHash(user, path_hash));
+  ASSIGN_OR_RETURN(std::optional<PathHead> maybe_head, GetHead(user, path_hash));
   if (!maybe_head.has_value()) {
     return Status::NotFound("file not found");
   }
@@ -310,7 +256,7 @@ Status FileIndex::DeleteGenerationHashed(UserId user, ConstByteSpan path_hash,
     // Deleted the newest: the new latest is the max surviving id (the
     // record still exists until the batch commits, so exclude it).
     ASSIGN_OR_RETURN(std::vector<GenerationRecord> gens,
-                     ListGenerationsHashed(user, path_hash));
+                     ListGenerations(user, path_hash));
     uint64_t new_latest = 0;
     for (const GenerationRecord& g : gens) {
       if (g.generation_id != generation) {
@@ -360,75 +306,6 @@ Result<PathScanPage> FileIndex::ScanPaths(UserId user, ConstByteSpan cursor, siz
     page.entries.push_back(std::move(entry));
   }
   return page;  // namespace exhausted: next_cursor stays empty
-}
-
-Status FileIndex::PutFile(UserId user, ConstByteSpan path_key, const FileIndexEntry& entry) {
-  // Legacy overwrite: rewrite the latest generation in place (one atomic
-  // batch, id unchanged), matching the server's kReplaceLatest semantics.
-  GenerationRecord rec;
-  rec.file_size = entry.file_size;
-  rec.num_secrets = entry.num_secrets;
-  rec.recipe_container_id = entry.recipe_container_id;
-  rec.recipe_index = entry.recipe_index;
-  ASSIGN_OR_RETURN(std::optional<PathHead> head,
-                   GetHeadByHash(user, Sha256::Hash(path_key)));
-  if (head.has_value() && head->latest_generation != 0) {
-    rec.generation_id = head->latest_generation;
-    return PutGeneration(user, path_key, rec, /*new_path=*/nullptr);
-  }
-  return AppendGeneration(user, path_key, rec, /*new_path=*/nullptr).status();
-}
-
-Result<FileIndexEntry> FileIndex::GetFile(UserId user, ConstByteSpan path_key) {
-  ASSIGN_OR_RETURN(GenerationRecord rec, GetGeneration(user, path_key, /*generation=*/0));
-  FileIndexEntry e;
-  e.file_size = rec.file_size;
-  e.num_secrets = rec.num_secrets;
-  e.recipe_container_id = rec.recipe_container_id;
-  e.recipe_index = rec.recipe_index;
-  return e;
-}
-
-Status FileIndex::DeleteFile(UserId user, ConstByteSpan path_key) {
-  Bytes hash = Sha256::Hash(path_key);
-  ASSIGN_OR_RETURN(std::vector<GenerationRecord> gens, ListGenerationsHashed(user, hash));
-  WriteBatch batch;
-  for (const GenerationRecord& g : gens) {
-    batch.Delete(GenKeyForHash(user, hash, g.generation_id));
-  }
-  batch.Delete(HeadKeyForHash(user, hash));
-  return db_->Write(batch);
-}
-
-Result<uint64_t> FileIndex::FileCount(UserId user) {
-  Bytes prefix;
-  prefix.push_back(kHeadPrefix);
-  AppendUserBe(&prefix, user);
-  uint64_t count = 0;
-  auto it = db_->NewIterator();
-  for (it->Seek(prefix); it->Valid(); it->Next()) {
-    const Bytes& k = it->key();
-    if (k.size() < prefix.size() || !std::equal(prefix.begin(), prefix.end(), k.begin())) {
-      break;
-    }
-    ++count;
-  }
-  return count;
-}
-
-Result<uint64_t> FileIndex::TotalGenerationCount() {
-  Bytes prefix;
-  prefix.push_back(kGenPrefix);
-  uint64_t count = 0;
-  auto it = db_->NewIterator();
-  for (it->Seek(prefix); it->Valid(); it->Next()) {
-    const Bytes& k = it->key();
-    if (k.empty() || k[0] != static_cast<uint8_t>(kGenPrefix)) {
-      break;
-    }
-    ++count;
-  }
-  return count;
 }
 
 }  // namespace cdstore

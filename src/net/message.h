@@ -145,8 +145,7 @@ struct PutFileRequest {
   // identical on every cloud (matches one path's entries across listings),
   // and the cleartext name's byte length (strips dispersal padding when k
   // name shares are decoded; the share size already bounds it, so this
-  // leaks nothing the cloud cannot infer). Both optional — legacy writers
-  // send them empty/zero and their paths list as unnamed until touched.
+  // leaks nothing the cloud cannot infer).
   Bytes path_id;
   uint32_t path_name_len = 0;
   uint64_t file_size = 0;
@@ -251,8 +250,6 @@ struct ApplyRetentionReply {
 // One path head as this cloud indexed it: the enumeration unit of the
 // namespace. `path_id` matches this path's entries across clouds; k clouds'
 // `name_share`s reconstruct the cleartext name (§4.3 dispersed metadata).
-// Legacy heads written before names were stored list with empty id/share
-// until a mutating touch upgrades them.
 struct PathInfo {
   Bytes path_id;
   Bytes name_share;
@@ -287,8 +284,7 @@ struct ApplyRetentionNamespaceRequest {
   uint32_t page_size = 0;
 };
 // Per-path pruning outcome within a namespace sweep (only paths that lost
-// at least one generation are reported; `path_id` may be empty for legacy
-// unnamed heads).
+// at least one generation are reported).
 struct PathRetentionResult {
   Bytes path_id;
   uint32_t generations_deleted = 0;

@@ -249,8 +249,8 @@ class ScopedTimer {
 // --- unified measurement helpers -----------------------------------------
 // Welford online mean / sample standard deviation: the bench-side
 // accumulator, promoted here so the benches and the live-metrics subsystem
-// share one measurement library (util/stats.h re-exports it for existing
-// includes). Not thread-safe; benches record single-threaded.
+// share one measurement library. Not thread-safe; benches record
+// single-threaded.
 class RunningStats {
  public:
   void Add(double x);

@@ -1,8 +1,6 @@
 // Measurement helpers for the benchmark harness: wall-clock stopwatch and
-// throughput formatting. The shared accumulator (RunningStats) moved to the
-// observability library in src/obs/metrics.h so benches and the live
-// metrics subsystem use one measurement implementation; this header
-// re-exports it for existing includes.
+// throughput formatting. The shared accumulator (RunningStats) lives in the
+// observability library, src/obs/metrics.h.
 #ifndef CDSTORE_SRC_UTIL_STATS_H_
 #define CDSTORE_SRC_UTIL_STATS_H_
 
@@ -10,8 +8,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "src/obs/metrics.h"
 
 namespace cdstore {
 

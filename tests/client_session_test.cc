@@ -2,8 +2,8 @@
 // identical to per-file one-shot uploads (chunk boundaries, dedup, server
 // state), incremental UploadWriter writes must reproduce whole-buffer
 // chunking exactly (the Rabin window carries across Write calls), the
-// pipelined sink-driven download must match the barrier download byte for
-// byte and stat for stat, writer abuse must fail cleanly, and a fetch lane
+// pipelined sink-driven download must restore the bytes with the stats the
+// stored recipe implies, writer abuse must fail cleanly, and a fetch lane
 // whose cloud dies mid-download must fail over to a spare cloud.
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 
 #include "src/core/client.h"
 #include "src/core/server.h"
+#include "src/dispersal/aont_rs.h"
 #include "src/net/message.h"
 #include "src/net/transport.h"
 #include "src/storage/backend.h"
@@ -74,7 +75,6 @@ ClientOptions SmallOptions() {
   o.rabin.max_size = 8192;
   o.pipeline_queue_depth = 8;
   // Small batches force several RPCs per cloud so pipelining is exercised.
-  o.upload_batch_bytes = 64 * 1024;
   o.download_batch_bytes = 64 * 1024;
   o.stream_batch_bytes = 32 * 1024;
   return o;
@@ -255,48 +255,73 @@ TEST(BackupSessionTest, WriterAbuseCases) {
   EXPECT_FALSE(session.value()->OpenUpload("/late").ok()) << "closed session must reject opens";
 }
 
-// --------------------------------------- pipelined vs barrier download --
+// ------------------------------------------ download vs stored recipe --
 
-TEST(DownloadTest, PipelinedMatchesBarrierBytesAndStats) {
+// The recipe cloud `cloud` stored for `path_name`, read from its server
+// directly (the path key is the name's CAONT-RS share for that cloud).
+GetFileReply StoredRecipe(Deployment& world, const ClientOptions& opts,
+                          const std::string& path_name, int cloud) {
+  std::vector<Bytes> path_keys;
+  EXPECT_TRUE(
+      MakeCaontRs(opts.n, opts.k, opts.salt)->Encode(BytesOf(path_name), &path_keys).ok());
+  GetFileRequest req;
+  req.user = 1;
+  req.path_key = path_keys[cloud];
+  GetFileReply reply;
+  EXPECT_TRUE(Decode(Dispatch(*world.servers[cloud], Encode(req)), &reply).ok());
+  return reply;
+}
+
+TEST(DownloadTest, PipelinedDownloadMatchesStoredRecipe) {
   auto world = MakeDeployment();
   ClientOptions opts = SmallOptions();
   CdstoreClient client(world->TransportPtrs(), 1, opts);
   Bytes data = Rng(94).RandomBytes(700000);
-  ASSERT_TRUE(client.Upload("/file", data).ok());
+  UploadStats upload;
+  ASSERT_TRUE(client.Upload("/file", data, &upload).ok());
 
-  ClientOptions barrier_opts = opts;
-  barrier_opts.pipelined_download = false;
-  CdstoreClient barrier_client(world->TransportPtrs(), 1, barrier_opts);
+  DownloadStats stats;
+  auto restored = client.Download("/file", &stats);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ(restored.value(), data);
+  EXPECT_EQ(stats.brute_force_recoveries, 0);
 
-  DownloadStats pipelined_stats;
-  DownloadStats barrier_stats;
-  auto pipelined = client.Download("/file", &pipelined_stats);
-  auto barrier = barrier_client.Download("/file", &barrier_stats);
-  ASSERT_TRUE(pipelined.ok()) << pipelined.status();
-  ASSERT_TRUE(barrier.ok()) << barrier.status();
-  EXPECT_EQ(pipelined.value(), data);
-  EXPECT_EQ(barrier.value(), data);
-
-  EXPECT_EQ(pipelined_stats.received_share_bytes, barrier_stats.received_share_bytes);
-  EXPECT_EQ(pipelined_stats.num_secrets, barrier_stats.num_secrets);
-  EXPECT_EQ(pipelined_stats.brute_force_recoveries, 0);
-  EXPECT_EQ(barrier_stats.brute_force_recoveries, 0);
-  EXPECT_EQ(pipelined_stats.clouds_used, barrier_stats.clouds_used);
-  // Same batch size => same per-cloud RPC counts and bytes.
-  ASSERT_EQ(pipelined_stats.per_cloud.size(), barrier_stats.per_cloud.size());
-  for (size_t c = 0; c < pipelined_stats.per_cloud.size(); ++c) {
-    EXPECT_EQ(pipelined_stats.per_cloud[c].received_share_bytes,
-              barrier_stats.per_cloud[c].received_share_bytes)
-        << "cloud " << c;
-    EXPECT_EQ(pipelined_stats.per_cloud[c].rpcs, barrier_stats.per_cloud[c].rpcs)
-        << "cloud " << c;
-  }
-  // Aggregate / per-cloud consistency.
+  // Every share of a secret has the same size, so k of n clouds' shares
+  // are k/n of the logical share bytes.
+  EXPECT_EQ(stats.received_share_bytes, upload.logical_share_bytes * kK / kN);
+  // All clouds are healthy: the first k serve the restore.
+  EXPECT_EQ(stats.clouds_used, (std::vector<int>{0, 1, 2}));
   uint64_t sum = 0;
-  for (const CloudDownloadStats& c : pipelined_stats.per_cloud) {
-    sum += c.received_share_bytes;
+  for (int c = 0; c < kK; ++c) {
+    GetFileReply stored = StoredRecipe(*world, opts, "/file", c);
+    ASSERT_EQ(stored.file_size, data.size()) << "cloud " << c;
+    EXPECT_EQ(stats.num_secrets, stored.recipe.size()) << "cloud " << c;
+    // One GetFile, then one GetShares per download batch: a batch closes
+    // once it holds download_batch_bytes of shares.
+    uint64_t share_bytes = 0;
+    uint64_t batches = 0;
+    uint64_t acc = 0;
+    for (const RecipeEntry& e : stored.recipe) {
+      share_bytes += e.share_size;
+      acc += e.share_size;
+      if (acc >= opts.download_batch_bytes) {
+        ++batches;
+        acc = 0;
+      }
+    }
+    batches += acc > 0 ? 1 : 0;
+    EXPECT_GT(batches, 1u) << "small batches must split the restore";
+    ASSERT_GT(stats.per_cloud.size(), static_cast<size_t>(c));
+    EXPECT_EQ(stats.per_cloud[c].received_share_bytes, share_bytes) << "cloud " << c;
+    EXPECT_EQ(stats.per_cloud[c].rpcs, 1 + batches) << "cloud " << c;
+    sum += stats.per_cloud[c].received_share_bytes;
   }
-  EXPECT_EQ(sum, pipelined_stats.received_share_bytes);
+  // The spare cloud was never contacted.
+  if (stats.per_cloud.size() > static_cast<size_t>(kK)) {
+    EXPECT_EQ(stats.per_cloud[kK].rpcs, 0u);
+    EXPECT_EQ(stats.per_cloud[kK].received_share_bytes, 0u);
+  }
+  EXPECT_EQ(sum, stats.received_share_bytes);
 }
 
 TEST(DownloadTest, SinkReceivesBytesInOrderAcrossManyBatches) {

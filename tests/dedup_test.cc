@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "src/crypto/sha256.h"
 #include "src/dedup/file_index.h"
 #include "src/dedup/fingerprint.h"
 #include "src/dedup/share_index.h"
@@ -109,35 +110,54 @@ TEST_F(DedupTest, EraseRemovesEntry) {
   EXPECT_FALSE(index.Lookup(fp).value().has_value());
 }
 
+// A path's namespace fields as a PutFile would supply them.
+PathNameInfo NameOf(const Bytes& path_key) {
+  PathNameInfo name;
+  name.name_share = path_key;
+  return name;
+}
+
 TEST_F(DedupTest, FileIndexPutGetDelete) {
   FileIndex files(db_.get());
-  FileIndexEntry entry;
-  entry.file_size = 1000;
-  entry.num_secrets = 3;
-  entry.recipe_container_id = 12;
-  entry.recipe_index = 4;
+  GenerationRecord rec;
+  rec.file_size = 1000;
+  rec.num_secrets = 3;
+  rec.recipe_container_id = 12;
+  rec.recipe_index = 4;
   Bytes path_key = BytesOf("encoded-path-share");
-  ASSERT_TRUE(files.PutFile(7, path_key, entry).ok());
-  auto got = files.GetFile(7, path_key);
+  Bytes path_hash = Sha256::Hash(path_key);
+  bool new_path = false;
+  ASSERT_TRUE(files.AppendGeneration(7, path_hash, NameOf(path_key), rec, &new_path).ok());
+  EXPECT_TRUE(new_path);
+  auto got = files.GetGeneration(7, path_hash, /*generation=*/0);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got.value().file_size, 1000u);
   EXPECT_EQ(got.value().recipe_container_id, 12u);
   // A different user cannot see the file.
-  EXPECT_EQ(files.GetFile(8, path_key).status().code(), StatusCode::kNotFound);
-  ASSERT_TRUE(files.DeleteFile(7, path_key).ok());
-  EXPECT_EQ(files.GetFile(7, path_key).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(files.GetGeneration(8, path_hash, 0).status().code(), StatusCode::kNotFound);
+  bool removed = false;
+  ASSERT_TRUE(files.DeleteGeneration(7, path_hash, got.value().generation_id, &removed).ok());
+  EXPECT_TRUE(removed);
+  EXPECT_EQ(files.GetGeneration(7, path_hash, 0).status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(DedupTest, FileCountPerUser) {
   FileIndex files(db_.get());
-  FileIndexEntry entry;
+  auto put = [&](UserId user, const std::string& path) {
+    Bytes path_key = BytesOf(path);
+    bool new_path = false;
+    ASSERT_TRUE(files
+                    .AppendGeneration(user, Sha256::Hash(path_key), NameOf(path_key),
+                                      GenerationRecord{}, &new_path)
+                    .ok());
+  };
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(files.PutFile(1, BytesOf("path" + std::to_string(i)), entry).ok());
+    put(1, "path" + std::to_string(i));
   }
-  ASSERT_TRUE(files.PutFile(2, BytesOf("other"), entry).ok());
-  EXPECT_EQ(files.FileCount(1).value(), 5u);
-  EXPECT_EQ(files.FileCount(2).value(), 1u);
-  EXPECT_EQ(files.FileCount(3).value(), 0u);
+  put(2, "other");
+  EXPECT_EQ(files.ScanPaths(1, {}, 16).value().entries.size(), 5u);
+  EXPECT_EQ(files.ScanPaths(2, {}, 16).value().entries.size(), 1u);
+  EXPECT_EQ(files.ScanPaths(3, {}, 16).value().entries.size(), 0u);
 }
 
 TEST_F(DedupTest, IndicesCoexistInOneDb) {
@@ -146,9 +166,14 @@ TEST_F(DedupTest, IndicesCoexistInOneDb) {
   FileIndex files(db_.get());
   Fingerprint fp = FingerprintOf(BytesOf("s"));
   ASSERT_TRUE(shares.Insert(fp, {1, 0, 8}).ok());
-  ASSERT_TRUE(files.PutFile(1, BytesOf("p"), FileIndexEntry{}).ok());
+  Bytes path_key = BytesOf("p");
+  bool new_path = false;
+  ASSERT_TRUE(files
+                  .AppendGeneration(1, Sha256::Hash(path_key), NameOf(path_key),
+                                    GenerationRecord{}, &new_path)
+                  .ok());
   EXPECT_EQ(shares.UniqueShareCount().value(), 1u);
-  EXPECT_EQ(files.FileCount(1).value(), 1u);
+  EXPECT_EQ(files.ScanPaths(1, {}, 16).value().entries.size(), 1u);
 }
 
 TEST_F(DedupTest, IndexSurvivesDbReopen) {

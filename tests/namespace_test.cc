@@ -2,9 +2,10 @@
 // (ListPaths with resume cursors and clamped reply frames), cross-cloud
 // name reconstruction from dispersed shares, the cross-path retention sweep
 // (ApplyRetentionNamespace, bit-identical to the per-path loop while
-// commit-locking O(pages)), point-in-time namespace restore, namespace
-// totals in Stats, lazy upgrade of legacy PathHead records, and the
-// automatic index-snapshot lifecycle after maintenance.
+// commit-locking O(pages)), point-in-time namespace restore, unresolvable
+// paths reported rather than dropped, namespace totals in Stats, the one
+// PathHead layout, and the automatic index-snapshot lifecycle after
+// maintenance.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -275,97 +276,100 @@ TEST_F(NamespaceTest, PaginationSurvivesDeletionBetweenPages) {
   }
 }
 
-// ------------------------------------------------------- legacy upgrade --
+// -------------------------------------------------------------- path head --
 
-TEST_F(NamespaceTest, LegacyPathHeadUpgradesLazilyOnTouch) {
-  auto db = Db::Open(dir_.Sub("legacy_db"), DbOptions{});
+TEST_F(NamespaceTest, PathHeadStoresNameAndContinuesIdSequence) {
+  auto db = Db::Open(dir_.Sub("head_db"), DbOptions{});
   ASSERT_TRUE(db.ok());
   FileIndex index(db.value().get());
   const UserId user = 7;
-  const Bytes path_key = BytesOf("legacy-path-share");
+  const Bytes path_key = BytesOf("path-share");
+  const Bytes path_hash = Sha256::Hash(path_key);
+  const Bytes path_id = BytesOf("cross-cloud-id");
+  PathNameInfo name;
+  name.name_share = path_key;
+  name.path_id = path_id;
+  name.name_len = 17;
 
-  // Plant a pre-namespace (v0) head + one generation record exactly as the
-  // old code serialized them: 24 bytes of counters, nothing else.
-  {
-    BufferWriter head;
-    head.PutU64(3);  // next_generation
-    head.PutU64(2);  // latest_generation
-    head.PutU64(1);  // generation_count (gen 1 was pruned)
-    Bytes head_key;
-    head_key.push_back('F');
-    for (int i = 7; i >= 0; --i) {
-      head_key.push_back(static_cast<uint8_t>(user >> (8 * i)));
-    }
-    Bytes h = Sha256::Hash(path_key);
-    head_key.insert(head_key.end(), h.begin(), h.end());
-    ASSERT_TRUE(db.value()->Put(head_key, head.data()).ok());
-
-    GenerationRecord rec;
-    rec.generation_id = 2;
-    rec.file_size = 100;
-    Bytes gen_key;
-    gen_key.push_back('G');
-    for (int i = 7; i >= 0; --i) {
-      gen_key.push_back(static_cast<uint8_t>(user >> (8 * i)));
-    }
-    gen_key.insert(gen_key.end(), h.begin(), h.end());
-    for (int i = 7; i >= 0; --i) {
-      gen_key.push_back(static_cast<uint8_t>(uint64_t{2} >> (8 * i)));
-    }
-    ASSERT_TRUE(db.value()->Put(gen_key, rec.Serialize()).ok());
-  }
-
-  // The legacy head scans, but carries no name.
+  // Generations 1 and 2, then the latest is deleted: the head keeps
+  // next_generation at 3 and the next append continues from it.
+  GenerationRecord rec;
+  bool new_path = false;
+  ASSERT_TRUE(index.AppendGeneration(user, path_hash, name, rec, &new_path).ok());
+  EXPECT_TRUE(new_path);
+  ASSERT_TRUE(index.AppendGeneration(user, path_hash, name, rec, &new_path).ok());
+  EXPECT_FALSE(new_path);
+  bool removed = true;
+  ASSERT_TRUE(index.DeleteGeneration(user, path_hash, 2, &removed).ok());
+  EXPECT_FALSE(removed);
   auto page = index.ScanPaths(user, {}, 16);
   ASSERT_TRUE(page.ok()) << page.status();
   ASSERT_EQ(page.value().entries.size(), 1u);
-  EXPECT_FALSE(page.value().entries[0].head.has_name());
-  EXPECT_TRUE(page.value().entries[0].head.path_id.empty());
+  EXPECT_EQ(page.value().entries[0].path_hash, path_hash);
   EXPECT_EQ(page.value().entries[0].head.next_generation, 3u);
-
-  // One mutating touch upgrades it in place — id allocation unbroken, no
-  // other record rewritten.
-  PathNameInfo name;
-  Bytes path_id = BytesOf("cross-cloud-id");
-  name.path_id = path_id;
-  name.name_len = 17;
-  GenerationRecord rec;
-  rec.file_size = 200;
-  bool new_path = true;
-  auto stored = index.AppendGeneration(user, path_key, rec, &new_path, &name);
+  EXPECT_EQ(page.value().entries[0].head.latest_generation, 1u);
+  auto stored = index.AppendGeneration(user, path_hash, name, rec, &new_path);
   ASSERT_TRUE(stored.ok());
-  EXPECT_FALSE(new_path);
-  EXPECT_EQ(stored.value().generation_id, 3u);  // legacy counter continued
+  EXPECT_EQ(stored.value().generation_id, 3u);
 
+  // The head carries the namespace fields of the last write, and a delete
+  // keeps them.
+  ASSERT_TRUE(index.DeleteGeneration(user, path_hash, 1, &removed).ok());
   page = index.ScanPaths(user, {}, 16);
   ASSERT_TRUE(page.ok());
   ASSERT_EQ(page.value().entries.size(), 1u);
   const PathHead& head = page.value().entries[0].head;
-  EXPECT_TRUE(head.has_name());
   EXPECT_EQ(head.path_id, path_id);
   EXPECT_EQ(head.name_share, path_key);
   EXPECT_EQ(head.name_len, 17u);
-  EXPECT_EQ(head.generation_count, 2u);
+  EXPECT_EQ(head.generation_count, 1u);
 
-  // Deleting a generation preserves the upgraded metadata on the rewritten
-  // head, and a v0 head round-trips byte-identically (no format churn for
-  // untouched paths).
-  bool removed = false;
-  ASSERT_TRUE(index.DeleteGeneration(user, path_key, 2, &removed).ok());
-  EXPECT_FALSE(removed);
+  // Every write replaces the fields with the request's, empty ones included.
+  PathNameInfo renamed;
+  renamed.name_share = path_key;
+  rec.generation_id = 3;
+  ASSERT_TRUE(index.PutGeneration(user, path_hash, renamed, rec, &new_path).ok());
   page = index.ScanPaths(user, {}, 16);
   ASSERT_TRUE(page.ok());
-  EXPECT_TRUE(page.value().entries[0].head.has_name());
-  PathHead v0;
-  v0.next_generation = 9;
-  v0.latest_generation = 8;
-  v0.generation_count = 4;
-  Bytes v0_bytes = v0.Serialize();
-  EXPECT_EQ(v0_bytes.size(), 24u);
-  auto back = PathHead::Deserialize(v0_bytes);
-  ASSERT_TRUE(back.ok());
-  EXPECT_FALSE(back.value().has_name());
+  EXPECT_TRUE(page.value().entries[0].head.path_id.empty());
+  EXPECT_EQ(page.value().entries[0].head.name_len, 0u);
+  EXPECT_EQ(page.value().entries[0].head.generation_count, 1u);
+}
+
+TEST_F(NamespaceTest, PathHeadRejectsOtherLayouts) {
+  PathHead head;
+  head.next_generation = 9;
+  head.latest_generation = 8;
+  head.generation_count = 4;
+  head.path_id = BytesOf("id");
+  head.name_share = BytesOf("share");
+  head.name_len = 5;
+  Bytes bytes = head.Serialize();
+  auto back = PathHead::Deserialize(bytes);
+  ASSERT_TRUE(back.ok()) << back.status();
   EXPECT_EQ(back.value().next_generation, 9u);
+  EXPECT_EQ(back.value().path_id, head.path_id);
+  EXPECT_EQ(back.value().name_share, head.name_share);
+  EXPECT_EQ(back.value().name_len, 5u);
+  // Even a head with no namespace fields writes the full layout: counters,
+  // tag, two empty length-prefixed fields, name_len.
+  EXPECT_EQ(PathHead{}.Serialize().size(), 24u + 1 + 1 + 1 + 4);
+
+  // The 24-byte counters-only record (next, latest, count).
+  BufferWriter counters_only;
+  counters_only.PutU64(3);
+  counters_only.PutU64(2);
+  counters_only.PutU64(1);
+  EXPECT_EQ(PathHead::Deserialize(counters_only.data()).status().code(),
+            StatusCode::kCorruption);
+  // An unknown layout tag.
+  Bytes bad_tag = bytes;
+  bad_tag[24] = 2;
+  EXPECT_EQ(PathHead::Deserialize(bad_tag).status().code(), StatusCode::kCorruption);
+  // Trailing bytes after the last field.
+  Bytes trailing = bytes;
+  trailing.push_back(0);
+  EXPECT_EQ(PathHead::Deserialize(trailing).status().code(), StatusCode::kCorruption);
 }
 
 // ------------------------------------------------------- retention sweep --
@@ -566,6 +570,47 @@ TEST_F(NamespaceTest, RestoreNamespaceAsOfPointInTime) {
   EXPECT_EQ(selective.value().files_restored, 1u);
   EXPECT_EQ(selective.value().files_skipped, 2u);
   EXPECT_EQ(restored["/b"], gens["/b"].back());
+}
+
+TEST_F(NamespaceTest, PathMissingFromCloudsIsReportedUnnamed) {
+  World world(&dir_);
+  CdstoreClient client(world.Ptrs(), 1, SmallClientOptions());
+  std::map<std::string, Bytes> contents;
+  for (const char* name : {"/keep/a", "/keep/b", "/half-deleted", "/keep/c"}) {
+    contents[name] = TestContent(contents.size() + 40, 12 * 1024);
+    ASSERT_TRUE(client.Upload(name, contents[name], nullptr, NewGen(kWeekMs)).ok());
+  }
+
+  // The delete reaches clouds 0 and 1 only: clouds 2 and 3 still list the
+  // path, so the k = 3 clouds ListPaths reads (0, 1, 2) hold one name
+  // share of it, too few to decode.
+  world.transports[2]->set_connected(false);
+  world.transports[3]->set_connected(false);
+  EXPECT_FALSE(client.DeleteFile("/half-deleted").ok());
+  world.transports[2]->set_connected(true);
+  world.transports[3]->set_connected(true);
+
+  auto listing = client.ListPaths();
+  ASSERT_TRUE(listing.ok()) << listing.status();
+  EXPECT_EQ(listing.value().unnamed_paths, 1u);
+  ASSERT_EQ(listing.value().entries.size(), 3u);
+  for (const NamespaceEntry& e : listing.value().entries) {
+    EXPECT_NE(e.path_name, "/half-deleted");
+  }
+
+  std::map<std::string, Bytes> restored;
+  auto stats = client.RestoreNamespace(
+      RestoreSelector{},
+      [&](const NamespaceEntry& e, uint64_t) -> Result<std::unique_ptr<ByteSink>> {
+        return std::unique_ptr<ByteSink>(new BufferByteSink(&restored[e.path_name]));
+      });
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats.value().files_unnamed, 1u);
+  EXPECT_EQ(stats.value().files_restored, 3u);
+  ASSERT_EQ(restored.size(), 3u);
+  for (const auto& [name, bytes] : restored) {
+    EXPECT_EQ(bytes, contents[name]) << name;
+  }
 }
 
 // ----------------------------------------------------------- stats totals --

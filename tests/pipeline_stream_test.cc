@@ -1,14 +1,16 @@
 // Streaming pipeline tests: CodingPipeline::Stream must produce exactly
 // what EncodeAll produces (same shares, same order, correct fingerprints),
-// the streaming client upload must be observably identical to the barrier
-// upload (recipes, dedup stats, server state), and the move-accepting
+// the client upload must match an offline replay of the same bytes (dedup
+// stats, server state, restored content), and the move-accepting
 // ReedSolomon::Encode must match the copying overload.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <unordered_set>
 
+#include "src/chunking/chunker.h"
 #include "src/core/client.h"
 #include "src/core/coding_pipeline.h"
 #include "src/core/server.h"
@@ -41,8 +43,8 @@ TEST(CodingStreamTest, MatchesEncodeAllSharesOrderAndFingerprints) {
   CodingPipeline pipeline(scheme.get(), 3);
   std::vector<Bytes> secrets = MakeSecrets(200, 21);
 
-  std::vector<std::vector<Bytes>> barrier_shares;
-  ASSERT_TRUE(pipeline.EncodeAll(secrets, &barrier_shares).ok());
+  std::vector<std::vector<Bytes>> batch_shares;
+  ASSERT_TRUE(pipeline.EncodeAll(secrets, &batch_shares).ok());
 
   std::vector<CodingPipeline::EncodedSecret> bundles;
   {
@@ -59,8 +61,8 @@ TEST(CodingStreamTest, MatchesEncodeAllSharesOrderAndFingerprints) {
   for (size_t i = 0; i < secrets.size(); ++i) {
     EXPECT_EQ(bundles[i].seq, i) << "bundles must arrive in submission order";
     EXPECT_EQ(bundles[i].secret_size, secrets[i].size());
-    // CAONT-RS is deterministic: streaming shares must equal barrier shares.
-    EXPECT_EQ(bundles[i].shares, barrier_shares[i]);
+    // CAONT-RS is deterministic: streaming shares must equal batch shares.
+    EXPECT_EQ(bundles[i].shares, batch_shares[i]);
     ASSERT_EQ(bundles[i].fps.size(), bundles[i].shares.size());
     for (size_t c = 0; c < bundles[i].shares.size(); ++c) {
       EXPECT_EQ(bundles[i].fps[c], FingerprintOf(bundles[i].shares[c]));
@@ -172,7 +174,7 @@ TEST(CodingStreamTest, EncodeErrorSurfacesAndStreamStillDrains) {
   EXPECT_LT(delivered, 100);
 }
 
-// ------------------------------------------- streaming vs barrier upload --
+// ---------------------------------------------- upload vs offline replay --
 
 class UploadEquivalenceTest : public ::testing::Test {
  protected:
@@ -215,7 +217,7 @@ class UploadEquivalenceTest : public ::testing::Test {
     return d;
   }
 
-  static ClientOptions Options(bool streaming) {
+  static ClientOptions Options() {
     ClientOptions o;
     o.n = kN;
     o.k = kK;
@@ -223,12 +225,49 @@ class UploadEquivalenceTest : public ::testing::Test {
     o.rabin.min_size = 512;
     o.rabin.avg_size = 2048;
     o.rabin.max_size = 8192;
-    o.streaming_upload = streaming;
     o.pipeline_queue_depth = 8;
     // Small batches force several query/upload round trips per cloud, so
     // the interleaved dedup protocol is actually exercised.
-    o.upload_batch_bytes = 64 * 1024;
+    o.stream_batch_bytes = 64 * 1024;
     return o;
+  }
+
+  // What an upload of `data` into empty clouds must report, computed
+  // without the client: chunk with the same chunker, encode with
+  // CodingPipeline::EncodeAll under the same scheme, and fingerprint every
+  // share. On each cloud the first copy of a fingerprint is transferred and
+  // every later copy is an intra-upload duplicate.
+  struct Replay {
+    uint64_t num_secrets = 0;
+    uint64_t logical_share_bytes = 0;
+    uint64_t transferred_share_bytes[kN] = {};
+    uint64_t intra_duplicate_shares[kN] = {};
+    uint64_t unique_shares[kN] = {};
+  };
+
+  static Replay ReplayUpload(const ClientOptions& o, const Bytes& data) {
+    RabinChunker chunker(o.rabin);
+    std::vector<Bytes> secrets = ChunkBuffer(chunker, data);
+    auto scheme = MakeCaontRs(o.n, o.k, o.salt);
+    CodingPipeline pipeline(scheme.get(), 2);
+    std::vector<std::vector<Bytes>> shares;
+    EXPECT_TRUE(pipeline.EncodeAll(secrets, &shares).ok());
+    Replay r;
+    r.num_secrets = secrets.size();
+    for (int c = 0; c < kN; ++c) {
+      std::unordered_set<Fingerprint, FingerprintHash> seen;
+      for (const std::vector<Bytes>& bundle : shares) {
+        const Bytes& share = bundle[c];
+        r.logical_share_bytes += share.size();
+        if (seen.insert(FingerprintOf(share)).second) {
+          r.transferred_share_bytes[c] += share.size();
+        } else {
+          ++r.intra_duplicate_shares[c];
+        }
+      }
+      r.unique_shares[c] = seen.size();
+    }
+    return r;
   }
 
   // Data with internal duplication so intra-upload dedup fires.
@@ -245,47 +284,49 @@ class UploadEquivalenceTest : public ::testing::Test {
   }
 };
 
-TEST_F(UploadEquivalenceTest, StreamingMatchesBarrierStatsServerStateAndContent) {
+TEST_F(UploadEquivalenceTest, UploadMatchesOfflineReplayStatsServerStateAndContent) {
   Bytes data = DupHeavyData(700000, 31);
+  Replay expected = ReplayUpload(Options(), data);
 
-  auto barrier_world = MakeDeployment();
-  auto streaming_world = MakeDeployment();
-  CdstoreClient barrier_client(barrier_world->TransportPtrs(), 1, Options(false));
-  CdstoreClient streaming_client(streaming_world->TransportPtrs(), 1, Options(true));
+  auto world = MakeDeployment();
+  CdstoreClient client(world->TransportPtrs(), 1, Options());
+  UploadStats stats;
+  ASSERT_TRUE(client.Upload("/file", data, &stats).ok());
 
-  UploadStats barrier_stats;
-  UploadStats streaming_stats;
-  ASSERT_TRUE(barrier_client.Upload("/file", data, &barrier_stats).ok());
-  ASSERT_TRUE(streaming_client.Upload("/file", data, &streaming_stats).ok());
+  EXPECT_EQ(stats.logical_bytes, data.size());
+  EXPECT_EQ(stats.num_secrets, expected.num_secrets);
+  EXPECT_EQ(stats.logical_share_bytes, expected.logical_share_bytes);
+  uint64_t transferred = 0;
+  uint64_t dups = 0;
+  ASSERT_EQ(stats.per_cloud.size(), static_cast<size_t>(kN));
+  for (int c = 0; c < kN; ++c) {
+    EXPECT_EQ(stats.per_cloud[c].transferred_share_bytes, expected.transferred_share_bytes[c])
+        << "cloud " << c;
+    EXPECT_EQ(stats.per_cloud[c].intra_duplicate_shares, expected.intra_duplicate_shares[c])
+        << "cloud " << c;
+    transferred += expected.transferred_share_bytes[c];
+    dups += expected.intra_duplicate_shares[c];
+  }
+  EXPECT_EQ(stats.transferred_share_bytes, transferred);
+  EXPECT_EQ(stats.intra_duplicate_shares, dups);
+  EXPECT_GT(stats.intra_duplicate_shares, 0u) << "test data must contain dups";
 
-  // Identical accounting (timing aside).
-  EXPECT_EQ(streaming_stats.logical_bytes, barrier_stats.logical_bytes);
-  EXPECT_EQ(streaming_stats.num_secrets, barrier_stats.num_secrets);
-  EXPECT_EQ(streaming_stats.logical_share_bytes, barrier_stats.logical_share_bytes);
-  EXPECT_EQ(streaming_stats.transferred_share_bytes, barrier_stats.transferred_share_bytes);
-  EXPECT_EQ(streaming_stats.intra_duplicate_shares, barrier_stats.intra_duplicate_shares);
-  EXPECT_GT(streaming_stats.intra_duplicate_shares, 0u) << "test data must contain dups";
-
-  // Identical server-side state: same unique shares, bytes, and files.
-  for (int i = 0; i < kN; ++i) {
-    StatsReply b = barrier_world->ServerStats(i);
-    StatsReply s = streaming_world->ServerStats(i);
-    EXPECT_EQ(s.unique_shares, b.unique_shares) << "cloud " << i;
-    EXPECT_EQ(s.stored_bytes, b.stored_bytes) << "cloud " << i;
-    EXPECT_EQ(s.file_count, b.file_count) << "cloud " << i;
+  // Each cloud stored exactly the distinct shares the replay produced.
+  for (int c = 0; c < kN; ++c) {
+    StatsReply server = world->ServerStats(c);
+    EXPECT_EQ(server.unique_shares, expected.unique_shares[c]) << "cloud " << c;
+    EXPECT_EQ(server.file_count, 1u) << "cloud " << c;
   }
 
-  // Both restore, and a barrier-mode client can read a streaming upload
-  // (identical recipes on the wire).
-  EXPECT_EQ(barrier_client.Download("/file").value(), data);
-  EXPECT_EQ(streaming_client.Download("/file").value(), data);
-  CdstoreClient cross_reader(streaming_world->TransportPtrs(), 1, Options(false));
-  EXPECT_EQ(cross_reader.Download("/file").value(), data);
+  // The uploading client and a fresh one both restore the bytes.
+  EXPECT_EQ(client.Download("/file").value(), data);
+  CdstoreClient reader(world->TransportPtrs(), 1, Options());
+  EXPECT_EQ(reader.Download("/file").value(), data);
 }
 
 TEST_F(UploadEquivalenceTest, StreamingReuploadFullyDedups) {
   auto world = MakeDeployment();
-  CdstoreClient client(world->TransportPtrs(), 1, Options(true));
+  CdstoreClient client(world->TransportPtrs(), 1, Options());
   Bytes data = Rng(32).RandomBytes(300000);
   ASSERT_TRUE(client.Upload("/v1", data).ok());
   UploadStats second;
@@ -296,7 +337,7 @@ TEST_F(UploadEquivalenceTest, StreamingReuploadFullyDedups) {
 
 TEST_F(UploadEquivalenceTest, StreamingUploadFailsCleanlyWhenCloudDisconnected) {
   auto world = MakeDeployment();
-  CdstoreClient client(world->TransportPtrs(), 1, Options(true));
+  CdstoreClient client(world->TransportPtrs(), 1, Options());
   world->transports[2]->set_connected(false);
   Bytes data = Rng(33).RandomBytes(200000);
   Status st = client.Upload("/doomed", data);

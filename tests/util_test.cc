@@ -4,6 +4,7 @@
 #include <set>
 #include <string>
 
+#include "src/obs/metrics.h"
 #include "src/util/bytes.h"
 #include "src/util/crc32c.h"
 #include "src/util/fs_util.h"
