@@ -1167,6 +1167,8 @@ Status CdstoreServer::BackupIndexSnapshotExclusive(const std::string& object_nam
     body.PutBytes(it->value());
     ++count;
   }
+  // A scan cut short by a corrupt block must not pass for a full snapshot.
+  RETURN_IF_ERROR(it->status());
   w.PutU64(count);
   w.PutRaw(body.data());
   return backend_->Put(object_name, w.data());

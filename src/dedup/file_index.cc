@@ -219,6 +219,7 @@ Result<std::vector<GenerationRecord>> FileIndex::ListGenerations(UserId user,
     ASSIGN_OR_RETURN(GenerationRecord rec, GenerationRecord::Deserialize(it->value()));
     out.push_back(std::move(rec));
   }
+  RETURN_IF_ERROR(it->status());
   return out;
 }
 
@@ -305,6 +306,7 @@ Result<PathScanPage> FileIndex::ScanPaths(UserId user, ConstByteSpan cursor, siz
     ASSIGN_OR_RETURN(entry.head, PathHead::Deserialize(it->value()));
     page.entries.push_back(std::move(entry));
   }
+  RETURN_IF_ERROR(it->status());
   return page;  // namespace exhausted: next_cursor stays empty
 }
 

@@ -298,7 +298,7 @@ Status ShareIndex::ForEach(
     ASSIGN_OR_RETURN(ShareIndexEntry entry, ShareIndexEntry::Deserialize(it->value()));
     fn(fp, entry);
   }
-  return Status::Ok();
+  return it->status();
 }
 
 Status ShareIndex::ForEachFingerprint(const std::function<void(const Fingerprint&)>& fn) {
@@ -311,7 +311,7 @@ Status ShareIndex::ForEachFingerprint(const std::function<void(const Fingerprint
     }
     fn(Fingerprint(key.begin() + 1, key.end()));
   }
-  return Status::Ok();
+  return it->status();
 }
 
 Result<uint64_t> ShareIndex::UniqueShareCount() {
@@ -324,6 +324,7 @@ Result<uint64_t> ShareIndex::UniqueShareCount() {
     }
     ++count;
   }
+  RETURN_IF_ERROR(it->status());
   return count;
 }
 

@@ -118,7 +118,9 @@ class ShareIndex {
   // Rewrites the physical location (container migration during GC).
   Status UpdateLocation(const Fingerprint& fp, const ShareLocation& location);
 
-  // Number of unique shares indexed.
+  // Number of unique shares indexed. The scans below fail with the LSM
+  // iterator's error (e.g. kCorruption) instead of returning a short count
+  // or visiting a prefix of the index.
   Result<uint64_t> UniqueShareCount();
 
   // Visits every (fingerprint, entry) pair. Used by garbage collection to

@@ -16,9 +16,11 @@ std::shared_ptr<const Bytes> BlockCache::Lookup(uint64_t file_number, uint64_t o
   return it->second->block;
 }
 
-void BlockCache::Insert(uint64_t file_number, uint64_t offset, Bytes block) {
+std::shared_ptr<const Bytes> BlockCache::Insert(uint64_t file_number, uint64_t offset,
+                                                Bytes block) {
+  auto pinned = std::make_shared<const Bytes>(std::move(block));
   if (capacity_ == 0) {
-    return;
+    return pinned;
   }
   MutexLock lock(mu_);
   Key key{file_number, offset};
@@ -28,8 +30,8 @@ void BlockCache::Insert(uint64_t file_number, uint64_t offset, Bytes block) {
     lru_.erase(it->second);
     map_.erase(it);
   }
-  usage_ += block.size();
-  lru_.push_front(Entry{key, std::make_shared<const Bytes>(std::move(block))});
+  usage_ += pinned->size();
+  lru_.push_front(Entry{key, pinned});
   map_[key] = lru_.begin();
   while (usage_ > capacity_ && !lru_.empty()) {
     Entry& victim = lru_.back();
@@ -37,6 +39,7 @@ void BlockCache::Insert(uint64_t file_number, uint64_t offset, Bytes block) {
     map_.erase(victim.key);
     lru_.pop_back();
   }
+  return pinned;
 }
 
 void BlockCache::EraseFile(uint64_t file_number) {

@@ -17,13 +17,16 @@ class BlockCache {
  public:
   explicit BlockCache(size_t capacity_bytes);
 
-  // Returns the cached block or nullptr.
+  // Returns the cached block or nullptr. The block stays valid while the
+  // caller holds the pointer, even if it is evicted meanwhile.
   std::shared_ptr<const Bytes> Lookup(uint64_t file_number, uint64_t offset);
 
   // Inserts (replacing any existing entry); evicts LRU entries over capacity.
-  void Insert(uint64_t file_number, uint64_t offset, Bytes block);
+  // Returns the inserted block, pinned (also when the capacity is 0 and
+  // nothing is cached).
+  std::shared_ptr<const Bytes> Insert(uint64_t file_number, uint64_t offset, Bytes block);
 
-  // Drops all blocks of a file (after compaction deletes it).
+  // Drops all blocks of a file (when its table is closed).
   void EraseFile(uint64_t file_number);
 
   size_t usage_bytes() const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <optional>
 
 #include "src/util/crc32c.h"
 #include "src/util/fs_util.h"
@@ -13,12 +12,16 @@ namespace cdstore {
 
 namespace {
 
-// Uniform view over memtable and SSTable iterators for merging.
+// Uniform view over memtable and SSTable iterators for merging. Each
+// source owns a reference to what it reads, so it stays valid after the Db
+// flushes or compacts it away.
 class InternalIterator {
  public:
   virtual ~InternalIterator() = default;
   virtual bool Valid() const = 0;
-  virtual const KvRecord& record() const = 0;
+  // Valid until the next move of this source.
+  virtual RecordView record() const = 0;
+  virtual Status status() const = 0;
   virtual void Next() = 0;
   virtual void SeekToFirst() = 0;
   virtual void Seek(ConstByteSpan target) = 0;
@@ -26,46 +29,79 @@ class InternalIterator {
 
 class MemIterAdapter : public InternalIterator {
  public:
-  explicit MemIterAdapter(MemTable::Iterator it) : it_(std::move(it)) {}
+  explicit MemIterAdapter(std::shared_ptr<const MemTable> mem)
+      : mem_(std::move(mem)), it_(mem_->NewIterator()) {}
   bool Valid() const override { return it_.Valid(); }
-  const KvRecord& record() const override { return it_.record(); }
+  RecordView record() const override { return it_.record().view(); }
+  Status status() const override { return Status::Ok(); }
   void Next() override { it_.Next(); }
   void SeekToFirst() override { it_.SeekToFirst(); }
   void Seek(ConstByteSpan target) override { it_.Seek(target); }
 
  private:
+  std::shared_ptr<const MemTable> mem_;
   MemTable::Iterator it_;
 };
 
 class SstIterAdapter : public InternalIterator {
  public:
-  explicit SstIterAdapter(SsTable::Iterator it) : it_(std::move(it)) {}
+  explicit SstIterAdapter(std::shared_ptr<const SsTable> table)
+      : table_(std::move(table)), it_(table_->NewIterator()) {}
   bool Valid() const override { return it_.Valid(); }
-  const KvRecord& record() const override { return it_.record(); }
+  RecordView record() const override { return it_.record(); }
+  Status status() const override { return it_.status(); }
   void Next() override { it_.Next(); }
   void SeekToFirst() override { it_.SeekToFirst(); }
   void Seek(ConstByteSpan target) override { it_.Seek(target); }
 
  private:
+  std::shared_ptr<const SsTable> table_;
   SsTable::Iterator it_;
 };
+
+using Sources = std::vector<std::unique_ptr<InternalIterator>>;
+
+// Index of the source holding the smallest current record, or -1 when the
+// merge is over: every source is exhausted, or one stopped on an error
+// (stored in *status). Merging past a failed source would yield a silently
+// truncated view.
+int SmallestSource(const Sources& sources, Status* status) {
+  int best = -1;
+  RecordView best_rec;
+  for (size_t i = 0; i < sources.size(); ++i) {
+    if (!sources[i]->Valid()) {
+      if (Status st = sources[i]->status(); !st.ok()) {
+        *status = std::move(st);
+        return -1;
+      }
+      continue;
+    }
+    RecordView rec = sources[i]->record();
+    if (best < 0 || CompareRecords(rec.key, rec.seq, best_rec.key, best_rec.seq) < 0) {
+      best = static_cast<int>(i);
+      best_rec = rec;
+    }
+  }
+  return best;
+}
 
 // Merges multiple internally-ordered sources and yields only the newest
 // visible (seq <= snapshot) non-deleted version of each user key.
 class MergingDbIterator : public Db::Iterator {
  public:
-  MergingDbIterator(std::vector<std::unique_ptr<InternalIterator>> sources, uint64_t snapshot)
+  MergingDbIterator(Sources sources, uint64_t snapshot)
       : sources_(std::move(sources)), snapshot_(snapshot) {}
 
   bool Valid() const override { return valid_; }
   const Bytes& key() const override { return key_; }
   const Bytes& value() const override { return value_; }
+  Status status() const override { return status_; }
 
   void SeekToFirst() override {
     for (auto& s : sources_) {
       s->SeekToFirst();
     }
-    last_key_.reset();
+    have_last_key_ = false;
     FindNextVisible();
   }
 
@@ -73,42 +109,22 @@ class MergingDbIterator : public Db::Iterator {
     for (auto& s : sources_) {
       s->Seek(target);
     }
-    last_key_.reset();
+    have_last_key_ = false;
     FindNextVisible();
   }
 
   void Next() override { FindNextVisible(); }
 
  private:
-  // Index of the source holding the smallest current record, or -1.
-  int SmallestSource() const {
-    int best = -1;
-    for (size_t i = 0; i < sources_.size(); ++i) {
-      if (!sources_[i]->Valid()) {
-        continue;
-      }
-      if (best < 0) {
-        best = static_cast<int>(i);
-        continue;
-      }
-      const KvRecord& a = sources_[i]->record();
-      const KvRecord& b = sources_[best]->record();
-      if (CompareRecords(a.key, a.seq, b.key, b.seq) < 0) {
-        best = static_cast<int>(i);
-      }
-    }
-    return best;
-  }
-
   void FindNextVisible() {
     valid_ = false;
-    while (true) {
-      int i = SmallestSource();
+    while (status_.ok()) {
+      int i = SmallestSource(sources_, &status_);
       if (i < 0) {
         return;
       }
-      const KvRecord& rec = sources_[i]->record();
-      if (last_key_.has_value() && rec.key == *last_key_) {
+      RecordView rec = sources_[i]->record();
+      if (have_last_key_ && CompareKeys(rec.key, last_key_) == 0) {
         sources_[i]->Next();  // shadowed older version
         continue;
       }
@@ -117,25 +133,28 @@ class MergingDbIterator : public Db::Iterator {
         continue;
       }
       // Newest visible version of a fresh key decides its fate.
-      last_key_ = rec.key;
+      last_key_.assign(rec.key.begin(), rec.key.end());
+      have_last_key_ = true;
       if (rec.type == ValueType::kDelete) {
         sources_[i]->Next();
         continue;
       }
-      key_ = rec.key;
-      value_ = rec.value;
+      key_ = last_key_;
+      value_.assign(rec.value.begin(), rec.value.end());
       valid_ = true;
       sources_[i]->Next();
       return;
     }
   }
 
-  std::vector<std::unique_ptr<InternalIterator>> sources_;
+  Sources sources_;
   uint64_t snapshot_;
-  std::optional<Bytes> last_key_;
+  Bytes last_key_;
+  bool have_last_key_ = false;
   Bytes key_;
   Bytes value_;
   bool valid_ = false;
+  Status status_;
 };
 
 }  // namespace
@@ -144,7 +163,7 @@ Db::Db(std::string path, const DbOptions& options)
     : path_(std::move(path)),
       opts_(options),
       cache_(options.block_cache_bytes),
-      mem_(std::make_unique<MemTable>()) {}
+      mem_(std::make_shared<MemTable>()) {}
 
 Db::~Db() = default;
 
@@ -318,7 +337,7 @@ Status Db::FlushLocked() {
   MemTable::Iterator it = mem_->NewIterator();
   it.SeekToFirst();
   while (it.Valid()) {
-    builder.Add(it.record());
+    builder.Add(it.record().view());
     it.Next();
   }
   RETURN_IF_ERROR(builder.Finish(SstPath(file_number)).status());
@@ -327,7 +346,7 @@ Status Db::FlushLocked() {
   RETURN_IF_ERROR(WriteManifestLocked());
 
   // Fresh memtable and WAL.
-  mem_ = std::make_unique<MemTable>();
+  mem_ = std::make_shared<MemTable>();
   RETURN_IF_ERROR(wal_->Close());
   if (FileExists(WalPath())) {
     RETURN_IF_ERROR(RemoveFile(WalPath()));
@@ -355,9 +374,9 @@ Status Db::CompactAllLocked() {
   // snapshots we conservatively keep everything.
   bool drop_old = snapshots_.empty();
 
-  std::vector<std::unique_ptr<InternalIterator>> sources;
+  Sources sources;
   for (const auto& t : tables_) {
-    sources.push_back(std::make_unique<SstIterAdapter>(t->NewIterator()));
+    sources.push_back(std::make_unique<SstIterAdapter>(t));
   }
   for (auto& s : sources) {
     s->SeekToFirst();
@@ -365,25 +384,17 @@ Status Db::CompactAllLocked() {
 
   uint64_t file_number = next_file_number_++;
   SsTableBuilder builder(opts_);
-  std::optional<Bytes> last_key;
+  Bytes last_key;
+  bool have_last_key = false;
   uint64_t kept = 0;
+  Status merge_status;
   while (true) {
-    int best = -1;
-    for (size_t i = 0; i < sources.size(); ++i) {
-      if (!sources[i]->Valid()) {
-        continue;
-      }
-      if (best < 0 ||
-          CompareRecords(sources[i]->record().key, sources[i]->record().seq,
-                         sources[best]->record().key, sources[best]->record().seq) < 0) {
-        best = static_cast<int>(i);
-      }
-    }
+    int best = SmallestSource(sources, &merge_status);
     if (best < 0) {
       break;
     }
-    const KvRecord& rec = sources[best]->record();
-    bool shadowed = last_key.has_value() && rec.key == *last_key;
+    RecordView rec = sources[best]->record();
+    bool shadowed = have_last_key && CompareKeys(rec.key, last_key) == 0;
     if (!drop_old) {
       builder.Add(rec);
       ++kept;
@@ -391,8 +402,15 @@ Status Db::CompactAllLocked() {
       builder.Add(rec);
       ++kept;
     }
-    last_key = rec.key;
+    last_key.assign(rec.key.begin(), rec.key.end());
+    have_last_key = true;
     sources[best]->Next();
+  }
+  // A corrupt input table fails the compaction; writing what was read
+  // would drop the rest of that table for good.
+  if (!merge_status.ok()) {
+    next_file_number_--;
+    return merge_status;
   }
 
   std::vector<uint64_t> old_files;
@@ -411,8 +429,9 @@ Status Db::CompactAllLocked() {
     tables_.push_back(std::move(table));
   }
   RETURN_IF_ERROR(WriteManifestLocked());
+  // Unlinking is safe under iterators still reading an old table: they
+  // hold it open, and its blocks leave the cache when the last one closes.
   for (uint64_t f : old_files) {
-    cache_.EraseFile(f);
     (void)RemoveFile(SstPath(f));
   }
   return Status::Ok();
@@ -423,10 +442,10 @@ std::unique_ptr<Db::Iterator> Db::NewIterator(uint64_t snapshot_seq) {
   if (snapshot_seq == 0) {
     snapshot_seq = last_seq_;
   }
-  std::vector<std::unique_ptr<InternalIterator>> sources;
-  sources.push_back(std::make_unique<MemIterAdapter>(mem_->NewIterator()));
+  Sources sources;
+  sources.push_back(std::make_unique<MemIterAdapter>(mem_));
   for (const auto& t : tables_) {
-    sources.push_back(std::make_unique<SstIterAdapter>(t->NewIterator()));
+    sources.push_back(std::make_unique<SstIterAdapter>(t));
   }
   auto iter = std::make_unique<MergingDbIterator>(std::move(sources), snapshot_seq);
   iter->SeekToFirst();

@@ -21,6 +21,10 @@
 
 namespace cdstore {
 
+// Thread-safe. Get and Write serialize on one mutex; the memtable and
+// SSTable probes run under it. An iterator runs outside that mutex on the
+// memtable and tables it was created over, which it keeps alive (see
+// NewIterator).
 class Db {
  public:
   ~Db();
@@ -58,8 +62,15 @@ class Db {
     virtual void Next() = 0;
     virtual void SeekToFirst() = 0;
     virtual void Seek(ConstByteSpan target) = 0;
+    // Not OK when the scan stopped on a failed read, checksum or decode in
+    // any source. Check it once Valid() turns false: a failed scan is
+    // invalid too, and must not be taken for end-of-data.
+    virtual Status status() const = 0;
   };
-  // Snapshot 0 means "latest at creation time".
+  // Snapshot 0 means "latest at creation time". The iterator pins the
+  // memtable and SSTables current at creation: later writes, flushes and
+  // compactions neither free nor change what it reads, and it may be used
+  // while other threads write. It must be destroyed before the Db.
   std::unique_ptr<Iterator> NewIterator(uint64_t snapshot_seq = 0);
 
   // Introspection for tests/benchmarks.
@@ -83,10 +94,12 @@ class Db {
   DbOptions opts_;
   mutable Mutex mu_;
   BlockCache cache_;
-  std::unique_ptr<MemTable> mem_ GUARDED_BY(mu_);
+  // Shared with the iterators that pinned them.
+  std::shared_ptr<MemTable> mem_ GUARDED_BY(mu_);
   std::unique_ptr<WalWriter> wal_ GUARDED_BY(mu_);
-  // Oldest first; lookups go newest first.
-  std::vector<std::unique_ptr<SsTable>> tables_ GUARDED_BY(mu_);
+  // Oldest first; lookups go newest first. Declared after cache_: a table
+  // drops its blocks from the cache when it closes.
+  std::vector<std::shared_ptr<SsTable>> tables_ GUARDED_BY(mu_);
   uint64_t next_file_number_ GUARDED_BY(mu_) = 1;
   uint64_t last_seq_ GUARDED_BY(mu_) = 0;
   std::multiset<uint64_t> snapshots_ GUARDED_BY(mu_);

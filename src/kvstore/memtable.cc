@@ -7,14 +7,19 @@ namespace cdstore {
 struct MemTable::Node {
   KvRecord record;
   int height;
-  Node* next[1];  // over-allocated to `height` pointers
+  std::atomic<Node*> next[1];  // over-allocated to `height` links
+
+  Node* Next(int level) const { return next[level].load(std::memory_order_acquire); }
+  // Publishes this link: everything written before it (the record, the
+  // new node's own links) is visible to a reader that loads it.
+  void SetNext(int level, Node* n) { next[level].store(n, std::memory_order_release); }
 
   static Node* Create(int height) {
-    void* mem = ::operator new(sizeof(Node) + sizeof(Node*) * (height - 1));
-    Node* n = new (mem) Node();
+    void* mem = ::operator new(sizeof(Node) + sizeof(std::atomic<Node*>) * (height - 1));
+    Node* n = new (mem) Node();  // value-initializes next[0]
     n->height = height;
-    for (int i = 0; i < height; ++i) {
-      n->next[i] = nullptr;
+    for (int i = 1; i < height; ++i) {
+      new (&n->next[i]) std::atomic<Node*>(nullptr);
     }
     return n;
   }
@@ -34,7 +39,7 @@ MemTable::MemTable() : rng_(0xC0FFEE) {
 MemTable::~MemTable() {
   Node* n = head_;
   while (n != nullptr) {
-    Node* next = n->next[0];
+    Node* next = n->Next(0);
     Node::Destroy(n);
     n = next;
   }
@@ -51,24 +56,17 @@ int MemTable::RandomHeight() {
 
 MemTable::Node* MemTable::FindGreaterOrEqual(ConstByteSpan key, uint64_t seq,
                                              Node** prev) const {
-  Bytes key_copy(key.begin(), key.end());
   Node* x = head_;
-  int level = height_ - 1;
+  int level = height_.load(std::memory_order_relaxed) - 1;
   while (true) {
-    Node* next = x->next[level];
-    bool descend;
-    if (next == nullptr) {
-      descend = true;
-    } else {
-      int cmp = CompareRecords(next->record.key, next->record.seq, key_copy, seq);
-      descend = cmp >= 0;  // next >= target: go down
-    }
-    if (descend) {
+    Node* next = x->Next(level);
+    // Descend when next >= target (or the level ends).
+    if (next == nullptr || CompareRecords(next->record.key, next->record.seq, key, seq) >= 0) {
       if (prev != nullptr) {
         prev[level] = x;
       }
       if (level == 0) {
-        return x->next[0];
+        return next;
       }
       --level;
     } else {
@@ -84,8 +82,8 @@ void MemTable::Add(uint64_t seq, ValueType type, ConstByteSpan key, ConstByteSpa
   }
   FindGreaterOrEqual(key, seq, prev);
   int h = RandomHeight();
-  if (h > height_) {
-    height_ = h;
+  if (h > height_.load(std::memory_order_relaxed)) {
+    height_.store(h, std::memory_order_relaxed);
   }
   Node* node = Node::Create(h);
   node->record.key.assign(key.begin(), key.end());
@@ -93,10 +91,12 @@ void MemTable::Add(uint64_t seq, ValueType type, ConstByteSpan key, ConstByteSpa
   node->record.type = type;
   node->record.value.assign(value.begin(), value.end());
   for (int i = 0; i < h; ++i) {
-    node->next[i] = prev[i]->next[i];
-    prev[i]->next[i] = node;
+    // The new node is unreachable until prev[i] publishes it.
+    node->next[i].store(prev[i]->next[i].load(std::memory_order_relaxed),
+                        std::memory_order_relaxed);
+    prev[i]->SetNext(i, node);
   }
-  mem_usage_ += key.size() + value.size() + sizeof(Node) + sizeof(Node*) * h;
+  mem_usage_ += key.size() + value.size() + sizeof(Node) + sizeof(std::atomic<Node*>) * h;
   ++count_;
 }
 
@@ -106,8 +106,7 @@ Status MemTable::Get(ConstByteSpan key, uint64_t snapshot_seq, Bytes* value,
   // First record with (key, seq <= snapshot): internal order puts higher
   // seq first, so seek to (key, snapshot_seq).
   Node* n = FindGreaterOrEqual(key, snapshot_seq, nullptr);
-  if (n == nullptr || n->record.key.size() != key.size() ||
-      !std::equal(key.begin(), key.end(), n->record.key.begin())) {
+  if (n == nullptr || CompareKeys(n->record.key, key) != 0) {
     return Status::NotFound("key absent in memtable");
   }
   if (n->record.type == ValueType::kDelete) {
@@ -125,10 +124,10 @@ const KvRecord& MemTable::Iterator::record() const {
 
 void MemTable::Iterator::Next() {
   DCHECK(Valid());
-  node_ = static_cast<const Node*>(node_)->next[0];
+  node_ = static_cast<const Node*>(node_)->Next(0);
 }
 
-void MemTable::Iterator::SeekToFirst() { node_ = table_->head_->next[0]; }
+void MemTable::Iterator::SeekToFirst() { node_ = table_->head_->Next(0); }
 
 void MemTable::Iterator::Seek(ConstByteSpan target) {
   // seq = max: lands on the newest version of `target` (or the next key).

@@ -3,6 +3,7 @@
 #ifndef CDSTORE_SRC_KVSTORE_MEMTABLE_H_
 #define CDSTORE_SRC_KVSTORE_MEMTABLE_H_
 
+#include <atomic>
 #include <memory>
 
 #include "src/kvstore/record.h"
@@ -11,6 +12,10 @@
 
 namespace cdstore {
 
+// One writer at a time (Add is externally serialized), concurrent with any
+// number of readers: the skiplist links are published with release stores
+// and read with acquire loads (LevelDB's discipline), so a reader sees each
+// node fully built or not at all.
 class MemTable {
  public:
   MemTable();
@@ -20,6 +25,7 @@ class MemTable {
   MemTable& operator=(const MemTable&) = delete;
 
   // Inserts a versioned record (keys+seq pairs are unique by construction).
+  // Not thread-safe against other Adds; safe against concurrent readers.
   void Add(uint64_t seq, ValueType type, ConstByteSpan key, ConstByteSpan value);
 
   // Looks up the newest version of `key` with seq <= snapshot_seq.
@@ -28,6 +34,7 @@ class MemTable {
   Status Get(ConstByteSpan key, uint64_t snapshot_seq, Bytes* value,
              bool* found_tombstone) const;
 
+  // Writer-side counters: read them where Add is serialized.
   size_t ApproximateMemoryUsage() const { return mem_usage_; }
   size_t entry_count() const { return count_; }
   bool empty() const { return count_ == 0; }
@@ -62,7 +69,9 @@ class MemTable {
   Node* FindGreaterOrEqual(ConstByteSpan key, uint64_t seq, Node** prev) const;
 
   Node* head_;
-  int height_ = 1;
+  // Relaxed: a reader that sees a new height before its links follows
+  // head_'s still-null pointers down.
+  std::atomic<int> height_{1};
   size_t mem_usage_ = 0;
   size_t count_ = 0;
   Rng rng_;

@@ -2,7 +2,10 @@
 #ifndef CDSTORE_SRC_KVSTORE_RECORD_H_
 #define CDSTORE_SRC_KVSTORE_RECORD_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "src/util/bytes.h"
 
@@ -13,6 +16,15 @@ enum class ValueType : uint8_t {
   kDelete = 1,  // tombstone
 };
 
+// A record decoded in place: the spans view the memtable node or the pinned
+// SSTable block holding it, so a view is only valid while that lives.
+struct RecordView {
+  ConstByteSpan key;
+  uint64_t seq = 0;
+  ValueType type = ValueType::kPut;
+  ConstByteSpan value;
+};
+
 // A versioned record. Ordering: key ascending, then seq descending (newest
 // version of a key sorts first).
 struct KvRecord {
@@ -20,12 +32,22 @@ struct KvRecord {
   uint64_t seq = 0;
   ValueType type = ValueType::kPut;
   Bytes value;
+
+  RecordView view() const { return {key, seq, type, value}; }
 };
 
+// Three-way bytewise key comparison (the order of Bytes' operator<).
+inline int CompareKeys(ConstByteSpan a, ConstByteSpan b) {
+  size_t n = std::min(a.size(), b.size());
+  int c = n == 0 ? 0 : std::memcmp(a.data(), b.data(), n);
+  if (c != 0) return c;
+  if (a.size() < b.size()) return -1;
+  return a.size() > b.size() ? 1 : 0;
+}
+
 // Three-way comparison in internal order.
-inline int CompareRecords(const Bytes& ak, uint64_t aseq, const Bytes& bk, uint64_t bseq) {
-  if (ak < bk) return -1;
-  if (bk < ak) return 1;
+inline int CompareRecords(ConstByteSpan ak, uint64_t aseq, ConstByteSpan bk, uint64_t bseq) {
+  if (int c = CompareKeys(ak, bk); c != 0) return c;
   if (aseq > bseq) return -1;  // newer first
   if (aseq < bseq) return 1;
   return 0;

@@ -1,6 +1,10 @@
 #include "src/kvstore/sstable.h"
 
-#include <algorithm>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 
 #include "src/util/crc32c.h"
 #include "src/util/fs_util.h"
@@ -11,7 +15,7 @@ namespace cdstore {
 
 namespace {
 
-void AppendRecord(Bytes* out, const KvRecord& rec) {
+void AppendRecord(Bytes* out, const RecordView& rec) {
   BufferWriter w;
   w.PutBytes(rec.key);
   w.PutU64(rec.seq);
@@ -29,24 +33,92 @@ void AppendBlockWithCrc(Bytes* file, ConstByteSpan block) {
   }
 }
 
+// LEB128 varint at [p, end): returns the byte after it, or nullptr when it
+// is truncated or longer than 64 bits.
+const uint8_t* DecodeVarint(const uint8_t* p, const uint8_t* end, uint64_t* v) {
+  uint64_t out = 0;
+  for (int shift = 0; shift < 64 && p < end; shift += 7) {
+    uint8_t b = *p++;
+    out |= static_cast<uint64_t>(b & 0x7f) << shift;
+    if ((b & 0x80) == 0) {
+      *v = out;
+      return p;
+    }
+  }
+  return nullptr;
+}
+
+// Length-prefixed bytes at [p, end) as a view; nullptr when truncated.
+const uint8_t* DecodeBytes(const uint8_t* p, const uint8_t* end, ConstByteSpan* out) {
+  uint64_t len = 0;
+  p = DecodeVarint(p, end, &len);
+  if (p == nullptr || len > static_cast<uint64_t>(end - p)) {
+    return nullptr;
+  }
+  *out = ConstByteSpan(p, len);
+  return p + len;
+}
+
+// Decodes the record at `*pos` of `block` in place (the AppendRecord
+// layout) and advances `*pos` past it. The hot loop of every point read, so
+// it walks raw pointers rather than a BufferReader.
+Status DecodeRecord(ConstByteSpan block, size_t* pos, RecordView* rec) {
+  const uint8_t* end = block.data() + block.size();
+  const uint8_t* p = DecodeBytes(block.data() + *pos, end, &rec->key);
+  if (p == nullptr || end - p < 9) {
+    return Status::Corruption("truncated record in SSTable block");
+  }
+  uint64_t seq = 0;
+  for (int i = 0; i < 8; ++i) {
+    seq |= static_cast<uint64_t>(p[i]) << (8 * i);
+  }
+  rec->seq = seq;
+  if (p[8] > static_cast<uint8_t>(ValueType::kDelete)) {
+    return Status::Corruption("bad record type in SSTable block");
+  }
+  rec->type = static_cast<ValueType>(p[8]);
+  p = DecodeBytes(p + 9, end, &rec->value);
+  if (p == nullptr) {
+    return Status::Corruption("truncated record in SSTable block");
+  }
+  *pos = static_cast<size_t>(p - block.data());
+  return Status::Ok();
+}
+
+Status PreadFully(int fd, uint64_t offset, ByteSpan out) {
+  size_t done = 0;
+  while (done < out.size()) {
+    ssize_t n = ::pread(fd, out.data() + done, out.size() - done,
+                        static_cast<off_t>(offset + done));
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      return Status::IOError("SSTable read failed");
+    }
+    done += static_cast<size_t>(n);
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 // ----------------------------------------------------------------- builder --
 
 SsTableBuilder::SsTableBuilder(const DbOptions& options) : opts_(options) {}
 
-void SsTableBuilder::Add(const KvRecord& record) {
+void SsTableBuilder::Add(const RecordView& record) {
   if (have_prev_) {
     // Records must arrive in internal order: key ascending, seq descending
     // within a key (multiple versions of one key are legal).
     DCHECK_LE(CompareRecords(prev_key_, prev_seq_, record.key, record.seq), 0);
   }
-  prev_key_ = record.key;
+  prev_key_.assign(record.key.begin(), record.key.end());
   prev_seq_ = record.seq;
   have_prev_ = true;
   AppendRecord(&current_block_, record);
-  current_last_key_ = record.key;
-  keys_for_bloom_.push_back(record.key);
+  current_last_key_.assign(record.key.begin(), record.key.end());
+  keys_for_bloom_.emplace_back(record.key.begin(), record.key.end());
   ++entry_count_;
   if (current_block_.size() >= opts_.block_size) {
     FlushBlock();
@@ -107,30 +179,34 @@ Result<uint64_t> SsTableBuilder::Finish(const std::string& path) {
 // ------------------------------------------------------------------ reader --
 
 SsTable::~SsTable() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
+  if (cache_ != nullptr) {
+    cache_->EraseFile(file_number_);
+  }
+  if (fd_ >= 0) {
+    ::close(fd_);
   }
 }
 
 Result<std::unique_ptr<SsTable>> SsTable::Open(const std::string& path, uint64_t file_number,
                                                BlockCache* cache) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     return Status::IOError("cannot open SSTable: " + path);
   }
   auto table = std::unique_ptr<SsTable>(new SsTable());
-  table->file_ = f;
+  table->fd_ = fd;
   table->file_number_ = file_number;
-  table->cache_ = cache;
 
   // Footer.
-  if (std::fseek(f, -48, SEEK_END) != 0) {
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    return Status::IOError("cannot stat SSTable: " + path);
+  }
+  if (st.st_size < 48) {
     return Status::Corruption("SSTable too small: " + path);
   }
   uint8_t footer[48];
-  if (std::fread(footer, 1, 48, f) != 48) {
-    return Status::Corruption("cannot read SSTable footer: " + path);
-  }
+  RETURN_IF_ERROR(PreadFully(fd, static_cast<uint64_t>(st.st_size) - 48, footer));
   BufferReader fr(ConstByteSpan(footer, 48));
   uint64_t index_off, index_len, bloom_off, bloom_len, entries, magic;
   CHECK_OK(fr.GetU64(&index_off));
@@ -144,10 +220,11 @@ Result<std::unique_ptr<SsTable>> SsTable::Open(const std::string& path, uint64_t
   }
   table->entry_count_ = entries;
 
-  ASSIGN_OR_RETURN(Bytes bloom_block, table->ReadBlock(bloom_off, bloom_len));
+  // The bloom and index blocks live in the table itself, not the cache.
+  ASSIGN_OR_RETURN(Bytes bloom_block, table->ReadVerified(bloom_off, bloom_len));
   table->bloom_ = BloomFilter::Deserialize(bloom_block);
 
-  ASSIGN_OR_RETURN(Bytes index_block, table->ReadBlock(index_off, index_len));
+  ASSIGN_OR_RETURN(Bytes index_block, table->ReadVerified(index_off, index_len));
   BufferReader ir(index_block);
   while (!ir.AtEnd()) {
     IndexEntry e;
@@ -156,21 +233,14 @@ Result<std::unique_ptr<SsTable>> SsTable::Open(const std::string& path, uint64_t
     RETURN_IF_ERROR(ir.GetU64(&e.length));
     table->index_.push_back(std::move(e));
   }
+  // Set last: a table that failed to open has no blocks to drop.
+  table->cache_ = cache;
   return table;
 }
 
-Result<Bytes> SsTable::ReadBlock(uint64_t offset, uint64_t length) const {
-  if (cache_ != nullptr) {
-    auto cached = cache_->Lookup(file_number_, offset);
-    if (cached != nullptr) {
-      return *cached;
-    }
-  }
+Result<Bytes> SsTable::ReadVerified(uint64_t offset, uint64_t length) const {
   Bytes block(length + 4);
-  if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0 ||
-      std::fread(block.data(), 1, block.size(), file_) != block.size()) {
-    return Status::IOError("SSTable block read failed");
-  }
+  RETURN_IF_ERROR(PreadFully(fd_, offset, block));
   uint32_t stored = 0;
   for (int i = 0; i < 4; ++i) {
     stored |= static_cast<uint32_t>(block[length + i]) << (8 * i);
@@ -179,37 +249,28 @@ Result<Bytes> SsTable::ReadBlock(uint64_t offset, uint64_t length) const {
   if (MaskCrc(Crc32c(block)) != stored) {
     return Status::Corruption("SSTable block checksum mismatch");
   }
-  if (cache_ != nullptr) {
-    cache_->Insert(file_number_, offset, block);
-  }
   return block;
 }
 
-Status SsTable::ParseBlock(ConstByteSpan block, std::vector<KvRecord>* records) {
-  records->clear();
-  BufferReader r(block);
-  while (!r.AtEnd()) {
-    KvRecord rec;
-    uint8_t type = 0;
-    RETURN_IF_ERROR(r.GetBytes(&rec.key));
-    RETURN_IF_ERROR(r.GetU64(&rec.seq));
-    RETURN_IF_ERROR(r.GetU8(&type));
-    if (type > static_cast<uint8_t>(ValueType::kDelete)) {
-      return Status::Corruption("bad record type in block");
+Result<std::shared_ptr<const Bytes>> SsTable::ReadBlock(size_t block_idx) const {
+  const IndexEntry& e = index_[block_idx];
+  if (cache_ != nullptr) {
+    if (auto cached = cache_->Lookup(file_number_, e.offset); cached != nullptr) {
+      return cached;
     }
-    rec.type = static_cast<ValueType>(type);
-    RETURN_IF_ERROR(r.GetBytes(&rec.value));
-    records->push_back(std::move(rec));
   }
-  return Status::Ok();
+  ASSIGN_OR_RETURN(Bytes block, ReadVerified(e.offset, e.length));
+  if (cache_ == nullptr) {
+    return std::make_shared<const Bytes>(std::move(block));
+  }
+  return cache_->Insert(file_number_, e.offset, std::move(block));
 }
 
 size_t SsTable::FindBlockFor(ConstByteSpan key) const {
-  Bytes k(key.begin(), key.end());
   size_t lo = 0, hi = index_.size();
   while (lo < hi) {
     size_t mid = (lo + hi) / 2;
-    if (index_[mid].last_key < k) {
+    if (CompareKeys(index_[mid].last_key, key) < 0) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -225,19 +286,18 @@ Status SsTable::Get(ConstByteSpan key, uint64_t snapshot_seq, Bytes* value, bool
   if (!bloom_.MayContain(key)) {
     return Status::NotFound("bloom miss");
   }
-  size_t bi = FindBlockFor(key);
-  Bytes k(key.begin(), key.end());
   // Versions of one key may straddle a block boundary; scan forward.
-  for (; bi < index_.size(); ++bi) {
-    ASSIGN_OR_RETURN(Bytes block, ReadBlock(index_[bi].offset, index_[bi].length));
-    std::vector<KvRecord> records;
-    RETURN_IF_ERROR(ParseBlock(block, &records));
-    for (const KvRecord& rec : records) {
-      if (rec.key < k) {
+  for (size_t bi = FindBlockFor(key); bi < index_.size(); ++bi) {
+    ASSIGN_OR_RETURN(std::shared_ptr<const Bytes> block, ReadBlock(bi));
+    RecordView rec;
+    for (size_t pos = 0; pos < block->size();) {
+      RETURN_IF_ERROR(DecodeRecord(*block, &pos, &rec));
+      int cmp = CompareKeys(rec.key, key);
+      if (cmp < 0) {
         continue;
       }
-      if (rec.key > k) {
-        return *found ? Status::Ok() : Status::NotFound("key absent");
+      if (cmp > 0) {
+        return Status::NotFound("key absent");
       }
       if (rec.seq > snapshot_seq) {
         continue;  // too new for this snapshot
@@ -247,30 +307,42 @@ Status SsTable::Get(ConstByteSpan key, uint64_t snapshot_seq, Bytes* value, bool
         *tombstone = true;
         return Status::NotFound("tombstone");
       }
-      *value = rec.value;
+      value->assign(rec.value.begin(), rec.value.end());
       return Status::Ok();
     }
   }
-  return *found ? Status::Ok() : Status::NotFound("key absent");
+  return Status::NotFound("key absent");
 }
 
 // ---------------------------------------------------------------- iterator --
 
 bool SsTable::Iterator::LoadBlock(size_t block_idx) {
+  valid_ = false;
   if (block_idx >= table_->index_.size()) {
-    valid_ = false;
     return false;
   }
-  auto block = table_->ReadBlock(table_->index_[block_idx].offset,
-                                 table_->index_[block_idx].length);
-  if (!block.ok() || !ParseBlock(block.value(), &block_records_).ok() ||
-      block_records_.empty()) {
-    valid_ = false;
+  auto block = table_->ReadBlock(block_idx);
+  if (!block.ok()) {
+    status_ = block.status();
     return false;
   }
   block_idx_ = block_idx;
-  pos_in_block_ = 0;
-  current_ = block_records_[0];
+  block_ = std::move(block).value();
+  pos_ = 0;
+  if (block_->empty()) {
+    status_ = Status::Corruption("empty SSTable block");
+    return false;
+  }
+  return DecodeCurrent();
+}
+
+bool SsTable::Iterator::DecodeCurrent() {
+  Status st = DecodeRecord(*block_, &pos_, &current_);
+  if (!st.ok()) {
+    status_ = std::move(st);
+    valid_ = false;
+    return false;
+  }
   valid_ = true;
   return true;
 }
@@ -278,24 +350,21 @@ bool SsTable::Iterator::LoadBlock(size_t block_idx) {
 void SsTable::Iterator::SeekToFirst() { LoadBlock(0); }
 
 void SsTable::Iterator::Seek(ConstByteSpan target) {
-  size_t bi = table_->FindBlockFor(target);
-  if (!LoadBlock(bi)) {
+  if (!LoadBlock(table_->FindBlockFor(target))) {
     return;
   }
-  Bytes t(target.begin(), target.end());
-  while (valid_ && current_.key < t) {
+  while (valid_ && CompareKeys(current_.key, target) < 0) {
     Next();
   }
 }
 
 void SsTable::Iterator::Next() {
   DCHECK(valid_);
-  ++pos_in_block_;
-  if (pos_in_block_ < block_records_.size()) {
-    current_ = block_records_[pos_in_block_];
-    return;
+  if (pos_ < block_->size()) {
+    DecodeCurrent();
+  } else {
+    LoadBlock(block_idx_ + 1);
   }
-  LoadBlock(block_idx_ + 1);
 }
 
 }  // namespace cdstore

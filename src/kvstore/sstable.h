@@ -8,7 +8,6 @@
 #ifndef CDSTORE_SRC_KVSTORE_SSTABLE_H_
 #define CDSTORE_SRC_KVSTORE_SSTABLE_H_
 
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,7 +28,7 @@ class SsTableBuilder {
  public:
   explicit SsTableBuilder(const DbOptions& options);
 
-  void Add(const KvRecord& record);
+  void Add(const RecordView& record);
 
   // Writes the finished table to `path`. Returns the number of records.
   Result<uint64_t> Finish(const std::string& path);
@@ -55,7 +54,10 @@ class SsTableBuilder {
   uint64_t entry_count_ = 0;
 };
 
-// Read-only handle to an SSTable. Thread-compatible for reads.
+// Read-only handle to an SSTable. Thread-safe: Get and any number of
+// iterators may run concurrently without external locking (data blocks are
+// read with pread(2), and the block cache has its own lock). Closing the
+// table drops its blocks from the cache, so the cache must outlive it.
 class SsTable {
  public:
   ~SsTable();
@@ -64,20 +66,27 @@ class SsTable {
   static Result<std::unique_ptr<SsTable>> Open(const std::string& path, uint64_t file_number,
                                                BlockCache* cache);
 
-  // Looks up the newest version of `key` with seq <= snapshot_seq.
+  // Looks up the newest version of `key` with seq <= snapshot_seq, decoding
+  // records in place from the pinned block; only a matched value is copied.
   // On return: *found tells whether any version was seen; *tombstone tells
-  // whether that version was a delete.
+  // whether that version was a delete. kCorruption/kIOError when a block on
+  // the probe path fails its checksum, its read or its decode.
   Status Get(ConstByteSpan key, uint64_t snapshot_seq, Bytes* value, bool* found,
              bool* tombstone) const;
 
   uint64_t file_number() const { return file_number_; }
   uint64_t entry_count() const { return entry_count_; }
 
-  // Ordered scan over all versions.
+  // Ordered scan over all versions. The table must outlive the iterator.
   class Iterator {
    public:
     bool Valid() const { return valid_; }
-    const KvRecord& record() const { return current_; }
+    // Views into the pinned current block: valid until the next move.
+    const RecordView& record() const { return current_; }
+    // Not OK once a block read, checksum or record decode failed; the
+    // iterator is then invalid, which must not be taken for end-of-data.
+    // Sticky: a later seek does not clear it.
+    const Status& status() const { return status_; }
     void Next();
     void SeekToFirst();
     void Seek(ConstByteSpan target);
@@ -85,14 +94,18 @@ class SsTable {
    private:
     friend class SsTable;
     explicit Iterator(const SsTable* table) : table_(table) {}
+    // Pins block `block_idx` and decodes its first record.
     bool LoadBlock(size_t block_idx);
+    // Decodes the record at pos_ of the pinned block into current_.
+    bool DecodeCurrent();
 
     const SsTable* table_;
     size_t block_idx_ = 0;
-    std::vector<KvRecord> block_records_;
-    size_t pos_in_block_ = 0;
-    KvRecord current_;
+    std::shared_ptr<const Bytes> block_;
+    size_t pos_ = 0;  // offset of the record after current_
+    RecordView current_;
     bool valid_ = false;
+    Status status_;
   };
 
   Iterator NewIterator() const { return Iterator(this); }
@@ -100,12 +113,15 @@ class SsTable {
  private:
   SsTable() = default;
 
-  Result<Bytes> ReadBlock(uint64_t offset, uint64_t length) const;
-  static Status ParseBlock(ConstByteSpan block, std::vector<KvRecord>* records);
+  // Reads [offset, offset + length) plus its trailing crc32c and verifies it.
+  Result<Bytes> ReadVerified(uint64_t offset, uint64_t length) const;
+  // Data block `block_idx`, pinned: a cache hit copies nothing; a miss is
+  // read and CRC-checked before it is cached.
+  Result<std::shared_ptr<const Bytes>> ReadBlock(size_t block_idx) const;
   // Index of the first block whose last_key >= key, or index_.size().
   size_t FindBlockFor(ConstByteSpan key) const;
 
-  std::FILE* file_ = nullptr;
+  int fd_ = -1;
   uint64_t file_number_ = 0;
   uint64_t entry_count_ = 0;
   BlockCache* cache_ = nullptr;

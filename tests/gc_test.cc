@@ -6,6 +6,7 @@
 
 #include "src/core/client.h"
 #include "src/core/server.h"
+#include "src/kvstore/db.h"
 #include "src/net/transport.h"
 #include "src/storage/backend.h"
 #include "src/util/fs_util.h"
@@ -47,6 +48,49 @@ class GcTest : public ::testing::Test {
     o.rabin.avg_size = 2048;
     o.rabin.max_size = 8192;
     return o;
+  }
+
+  // Closes server i, compacts its index into one SSTable and flips a byte
+  // in the table's last data block: share-index records ('S' keys sort
+  // last), clear of the server meta record.
+  void CorruptShareIndex(int i) {
+    servers_[i].reset();
+    std::string index_dir = dir_.Sub("server" + std::to_string(i));
+    {
+      auto db = Db::Open(index_dir, DbOptions());
+      ASSERT_TRUE(db.ok());
+      ASSERT_TRUE(db.value()->Flush().ok());
+      ASSERT_TRUE(db.value()->CompactAll().ok());
+      ASSERT_EQ(db.value()->sstable_count(), 1);
+    }
+    auto names = ListDir(index_dir);
+    ASSERT_TRUE(names.ok());
+    for (const std::string& name : names.value()) {
+      if (name.size() < 4 || name.compare(name.size() - 4, 4, ".sst") != 0) {
+        continue;
+      }
+      std::string path = index_dir + "/" + name;
+      auto data = ReadFileBytes(path);
+      ASSERT_TRUE(data.ok());
+      Bytes& sst = data.value();
+      // The footer's third field is the bloom block's offset; the last data
+      // block's 4-byte checksum ends right before it.
+      BufferReader footer(ConstByteSpan(sst).subspan(sst.size() - 48));
+      uint64_t skip = 0, bloom_off = 0;
+      ASSERT_TRUE(footer.GetU64(&skip).ok());
+      ASSERT_TRUE(footer.GetU64(&skip).ok());
+      ASSERT_TRUE(footer.GetU64(&bloom_off).ok());
+      sst[bloom_off - 8] ^= 0x5a;
+      ASSERT_TRUE(WriteFile(path, sst).ok());
+    }
+  }
+
+  Result<std::unique_ptr<CdstoreServer>> Reopen(int i, bool dedup_accel) {
+    ServerOptions so;
+    so.index_dir = dir_.Sub("server" + std::to_string(i));
+    so.container_capacity = 64 * 1024;
+    so.dedup_accel = dedup_accel;
+    return CdstoreServer::Create(backends_[i].get(), so);
   }
 
   TempDir dir_;
@@ -181,6 +225,42 @@ TEST_F(GcTest, GcAfterOverwriteRewritesOnlyDereferencedContainers) {
   auto restored = client.Download("/v");
   ASSERT_TRUE(restored.ok()) << restored.status();
   EXPECT_EQ(restored.value(), gen2);
+}
+
+TEST_F(GcTest, GcRefusesCorruptShareIndex) {
+  CdstoreClient client(TransportPtrs(), 1, SmallClientOptions());
+  ASSERT_TRUE(client.Upload("/keep", Rng(8).RandomBytes(1 << 20)).ok());
+  ASSERT_TRUE(client.Upload("/doomed", Rng(9).RandomBytes(200000)).ok());
+  ASSERT_TRUE(client.DeleteFile("/doomed").ok());
+  ASSERT_TRUE(servers_[0]->Flush().ok());
+  transports_[0].reset();
+  CorruptShareIndex(0);
+
+  auto server = Reopen(0, /*dedup_accel=*/false);
+  ASSERT_TRUE(server.ok()) << server.status();
+  auto objects_before = backends_[0]->List();
+  ASSERT_TRUE(objects_before.ok());
+  // A scan that stopped at the bad block would look like a short live map,
+  // and GC would delete containers that still hold live shares.
+  auto gc = server.value()->CollectGarbage();
+  EXPECT_EQ(gc.status().code(), StatusCode::kCorruption) << gc.status();
+  auto objects_after = backends_[0]->List();
+  ASSERT_TRUE(objects_after.ok());
+  std::sort(objects_before.value().begin(), objects_before.value().end());
+  std::sort(objects_after.value().begin(), objects_after.value().end());
+  EXPECT_EQ(objects_after.value(), objects_before.value());
+}
+
+TEST_F(GcTest, AccelRebuildRefusesCorruptShareIndex) {
+  CdstoreClient client(TransportPtrs(), 1, SmallClientOptions());
+  ASSERT_TRUE(client.Upload("/f", Rng(10).RandomBytes(1 << 20)).ok());
+  ASSERT_TRUE(servers_[0]->Flush().ok());
+  transports_[0].reset();
+  CorruptShareIndex(0);
+  // Blooms built from a truncated scan would answer "definitely absent" for
+  // indexed fingerprints.
+  auto server = Reopen(0, /*dedup_accel=*/true);
+  EXPECT_EQ(server.status().code(), StatusCode::kCorruption) << server.status();
 }
 
 TEST_F(GcTest, IndexSnapshotBackupRestore) {

@@ -14,23 +14,26 @@
 namespace cdstore {
 namespace {
 
-class KvModelTest : public ::testing::TestWithParam<uint64_t> {};
-
 Bytes SmallKey(Rng* rng) {
   // Small key space (256 keys) so overwrites/deletes collide often.
   return BytesOf("key" + std::to_string(rng->Uniform(256)));
 }
 
-TEST_P(KvModelTest, RandomOpsAgreeWithMapModel) {
+// 64-byte blocks hold about one record each, so the versions of one key
+// straddle block boundaries and every SSTable probe crosses blocks.
+constexpr size_t kTinyBlock = 64;
+
+void RunRandomOps(uint64_t seed, size_t block_size) {
   TempDir dir;
   DbOptions opts;
   opts.write_buffer_size = 8 * 1024;  // frequent flushes
   opts.compaction_trigger = 3;
+  opts.block_size = block_size;
   auto db = Db::Open(dir.Sub("db"), opts);
   ASSERT_TRUE(db.ok());
 
   std::map<Bytes, Bytes> model;
-  Rng rng(GetParam());
+  Rng rng(seed);
   const int kOps = 3000;
   for (int op = 0; op < kOps; ++op) {
     int action = static_cast<int>(rng.Uniform(100));
@@ -67,6 +70,7 @@ TEST_P(KvModelTest, RandomOpsAgreeWithMapModel) {
         EXPECT_EQ(it->value(), mit->second) << "op " << op;
       }
       EXPECT_EQ(mit, model.end()) << "op " << op << ": db missing keys";
+      EXPECT_TRUE(it->status().ok()) << "op " << op << ": " << it->status();
     } else {  // Reopen (crash-free restart)
       db.value().reset();
       db = Db::Open(dir.Sub("db"), opts);
@@ -84,21 +88,36 @@ TEST_P(KvModelTest, RandomOpsAgreeWithMapModel) {
     ++count;
   }
   EXPECT_EQ(count, model.size());
+  EXPECT_TRUE(it->status().ok()) << it->status();
+}
+
+class KvModelTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(KvModelTest, RandomOpsAgreeWithMapModel) {
+  RunRandomOps(GetParam(), DbOptions().block_size);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KvModelTest,
                          ::testing::Values(1ull, 2ull, 3ull, 17ull, 99ull, 1234ull));
 
-class SnapshotModelTest : public ::testing::TestWithParam<uint64_t> {};
+class TinyBlockKvModelTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(SnapshotModelTest, SnapshotsSeeFrozenState) {
+TEST_P(TinyBlockKvModelTest, RandomOpsAgreeWithMapModel) {
+  RunRandomOps(GetParam(), kTinyBlock);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TinyBlockKvModelTest,
+                         ::testing::Values(1ull, 2ull, 3ull, 17ull, 99ull, 1234ull));
+
+void RunSnapshotChurn(uint64_t seed, size_t block_size) {
   TempDir dir;
   DbOptions opts;
   opts.write_buffer_size = 4 * 1024;
+  opts.block_size = block_size;
   auto db = Db::Open(dir.Sub("db"), opts);
   ASSERT_TRUE(db.ok());
 
-  Rng rng(GetParam());
+  Rng rng(seed);
   // Phase 1: populate and freeze.
   std::map<Bytes, Bytes> frozen;
   for (int i = 0; i < 300; ++i) {
@@ -130,7 +149,22 @@ TEST_P(SnapshotModelTest, SnapshotsSeeFrozenState) {
   db.value()->ReleaseSnapshot(snap);
 }
 
+class SnapshotModelTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SnapshotModelTest, SnapshotsSeeFrozenState) {
+  RunSnapshotChurn(GetParam(), DbOptions().block_size);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotModelTest, ::testing::Values(7ull, 42ull, 4096ull));
+
+class TinyBlockSnapshotModelTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(TinyBlockSnapshotModelTest, SnapshotsSeeFrozenState) {
+  RunSnapshotChurn(GetParam(), kTinyBlock);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TinyBlockSnapshotModelTest,
+                         ::testing::Values(7ull, 42ull, 4096ull));
 
 }  // namespace
 }  // namespace cdstore

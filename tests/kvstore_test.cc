@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdio>
 #include <map>
 #include <string>
+#include <thread>
 
 #include "src/kvstore/bloom.h"
 #include "src/kvstore/block_cache.h"
@@ -21,6 +24,52 @@ DbOptions SmallDb() {
   o.write_buffer_size = 16 * 1024;  // flush often so tests exercise SSTs
   o.compaction_trigger = 3;
   return o;
+}
+
+// Zero-padded, so key order is insertion order.
+Bytes NumKey(int i) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "key%06d", i);
+  return B(buf);
+}
+
+Bytes NumValue(int i, int version = 0) {
+  return B("value-" + std::to_string(i) + "-" + std::to_string(version) + std::string(40, 'x'));
+}
+
+// The only SSTable in a compacted db directory.
+std::string OnlySstable(const std::string& db_dir) {
+  auto names = ListDir(db_dir);
+  EXPECT_TRUE(names.ok());
+  std::string found;
+  for (const std::string& name : names.value()) {
+    if (name.size() > 4 && name.compare(name.size() - 4, 4, ".sst") == 0) {
+      EXPECT_TRUE(found.empty()) << "more than one SSTable";
+      found = db_dir + "/" + name;
+    }
+  }
+  EXPECT_FALSE(found.empty()) << "no SSTable";
+  return found;
+}
+
+void FlipByte(const std::string& path, size_t offset) {
+  auto data = ReadFileBytes(path);
+  ASSERT_TRUE(data.ok());
+  ASSERT_LT(offset, data.value().size());
+  data.value()[offset] ^= 0x5a;
+  ASSERT_TRUE(WriteFile(path, data.value()).ok());
+}
+
+// `count` keys in one compacted SSTable, then the db is closed.
+void BuildCompactedDb(const std::string& db_dir, int count) {
+  auto db = Db::Open(db_dir, SmallDb());
+  ASSERT_TRUE(db.ok());
+  for (int i = 0; i < count; ++i) {
+    ASSERT_TRUE(db.value()->Put(NumKey(i), NumValue(i)).ok());
+  }
+  ASSERT_TRUE(db.value()->Flush().ok());
+  ASSERT_TRUE(db.value()->CompactAll().ok());
+  ASSERT_EQ(db.value()->sstable_count(), 1);
 }
 
 // ----------------------------------------------------------------- bloom --
@@ -445,6 +494,135 @@ TEST(DbTest, LargeValuesRoundTrip) {
   Bytes v;
   ASSERT_TRUE(db.value()->Get(B("big"), &v).ok());
   EXPECT_EQ(v, big);
+}
+
+TEST(DbTest, ScanOverCorruptBlockReportsCorruption) {
+  TempDir dir;
+  BuildCompactedDb(dir.Sub("db"), 2000);
+  std::string sst = OnlySstable(dir.Sub("db"));
+  // A third of the way in is inside the data blocks (the bloom filter and
+  // index block are a few KiB at the tail).
+  auto size = ReadFileBytes(sst);
+  ASSERT_TRUE(size.ok());
+  FlipByte(sst, size.value().size() / 3);
+
+  auto db = Db::Open(dir.Sub("db"), SmallDb());
+  ASSERT_TRUE(db.ok());
+  auto it = db.value()->NewIterator();
+  int count = 0;
+  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+    EXPECT_EQ(it->key(), NumKey(count));
+    ++count;
+  }
+  EXPECT_LT(count, 2000);
+  EXPECT_EQ(it->status().code(), StatusCode::kCorruption) << it->status();
+  // Seeking past the bad block does not clear the error.
+  it->Seek(NumKey(1999));
+  EXPECT_EQ(it->status().code(), StatusCode::kCorruption);
+}
+
+TEST(DbTest, GetFromCorruptBlockReportsCorruption) {
+  TempDir dir;
+  BuildCompactedDb(dir.Sub("db"), 2000);
+  FlipByte(OnlySstable(dir.Sub("db")), 10);  // inside the first data block
+
+  auto db = Db::Open(dir.Sub("db"), SmallDb());
+  ASSERT_TRUE(db.ok());
+  Bytes v;
+  EXPECT_EQ(db.value()->Get(NumKey(0), &v).code(), StatusCode::kCorruption);
+  // Keys in intact blocks still read.
+  ASSERT_TRUE(db.value()->Get(NumKey(1999), &v).ok());
+  EXPECT_EQ(v, NumValue(1999));
+}
+
+TEST(DbTest, IteratorOutlivesFlushAndCompaction) {
+  TempDir dir;
+  DbOptions o = SmallDb();
+  o.write_buffer_size = 64 * 1024;
+  auto db = Db::Open(dir.Sub("db"), o);
+  ASSERT_TRUE(db.ok());
+  // Half the keys in table 1, half in the memtable.
+  const int kKeys = 400;
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(db.value()->Put(NumKey(i), NumValue(i)).ok());
+    if (i == kKeys / 2) {
+      ASSERT_TRUE(db.value()->Flush().ok());
+    }
+  }
+  ASSERT_EQ(db.value()->sstable_count(), 1);
+  ASSERT_TRUE(FileExists(dir.Sub("db/000001.sst")));
+  auto it = db.value()->NewIterator();
+  ASSERT_TRUE(it->Valid());
+  // Overwrite every key and add as many again: flushes and compactions
+  // replace the memtable and the table the iterator was built over.
+  for (int round = 1; round <= 3; ++round) {
+    for (int i = 0; i < 2 * kKeys; ++i) {
+      ASSERT_TRUE(db.value()->Put(NumKey(i), NumValue(i, round)).ok());
+    }
+  }
+  ASSERT_FALSE(FileExists(dir.Sub("db/000001.sst")));  // compacted away
+  int count = 0;
+  for (; it->Valid(); it->Next()) {
+    EXPECT_EQ(it->key(), NumKey(count));
+    EXPECT_EQ(it->value(), NumValue(count));
+    ++count;
+  }
+  EXPECT_TRUE(it->status().ok()) << it->status();
+  EXPECT_EQ(count, kKeys);
+}
+
+TEST(DbTest, ConcurrentScansSeeExactlyTheWritesBeforeThem) {
+  TempDir dir;
+  DbOptions o;
+  o.write_buffer_size = 4 * 1024;  // a flush every ~60 puts
+  o.compaction_trigger = 3;
+  auto opened = Db::Open(dir.Sub("db"), o);
+  ASSERT_TRUE(opened.ok());
+  Db* db = opened.value().get();
+  const int kKeys = 3000;
+  std::atomic<int> started{0};
+  std::atomic<int> committed{0};
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (int i = 0; i < kKeys && !stop.load(); ++i) {
+      started.store(i + 1, std::memory_order_release);
+      Status st = db->Put(NumKey(i), NumValue(i));
+      if (!st.ok()) {
+        ADD_FAILURE() << "put " << i << ": " << st;
+        break;
+      }
+      committed.store(i + 1, std::memory_order_release);
+    }
+    stop.store(true);
+  });
+  // Key i is put i-th with a fixed value, so a scan must see exactly keys
+  // [0, n): n at least the puts finished before its creation, at most the
+  // puts started by the end of it.
+  int scans = 0;
+  bool failed = false;
+  while (!failed && (!stop.load() || scans == 0)) {
+    int before = committed.load(std::memory_order_acquire);
+    auto it = db->NewIterator();
+    int after = started.load(std::memory_order_acquire);
+    int n = 0;
+    for (; it->Valid(); it->Next(), ++n) {
+      if (it->key() != NumKey(n) || it->value() != NumValue(n)) {
+        ADD_FAILURE() << "scan " << scans << " wrong entry at " << n;
+        failed = true;
+        break;
+      }
+    }
+    if (!failed && (!it->status().ok() || n < before || n > after)) {
+      ADD_FAILURE() << "scan " << scans << " saw " << n << " keys, committed " << before << ".."
+                    << after << ", status " << it->status();
+      failed = true;
+    }
+    ++scans;
+  }
+  stop.store(true);
+  writer.join();
+  EXPECT_EQ(committed.load(), kKeys);
+  EXPECT_GT(scans, 1);
 }
 
 TEST(DbTest, BlockCacheServesRepeatedReads) {
