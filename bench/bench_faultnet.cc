@@ -88,7 +88,9 @@ std::unique_ptr<Deployment> MakeDeployment(double fault_rate, uint64_t stall_ms,
     ServerOptions so;
     so.index_dir = d->dir.Sub("server" + std::to_string(i));
     so.container_capacity = 256 << 10;  // seal often: real PUT traffic
-    so.container_cache_bytes = 4096;    // downloads actually hit the wire
+    // One container: a restore GETs each container once (not each share),
+    // and still hits the wire.
+    so.container_cache_bytes = 384 << 10;
     so.metrics = &d->registry;
     auto server = CdstoreServer::Create(d->backends.back().get(), so);
     if (!server.ok()) {

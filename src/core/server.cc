@@ -315,7 +315,7 @@ void CdstoreServer::FpQuery(const FpQueryRequest& req, ReplyBuilder& rb) {
       rb.SendError(has.status());
       return;
     }
-    reply.duplicate[i] = has.value() ? 1 : 0;
+    reply.duplicate[i] = has.value().has_value() ? 1 : 0;
     dup_hits += reply.duplicate[i];
   }
   CountUser("cdstore_server_user_dedup_hits_total", req.user, dup_hits);
@@ -656,21 +656,12 @@ void CdstoreServer::GetShares(const GetSharesRequest& req, ReplyBuilder& rb) {
         rb.SendError(owns.status());
         return;
       }
-      if (!owns.value()) {
+      if (!owns.value().has_value()) {
         rb.SendError(Status::PermissionDenied("user does not own share " +
                                               FingerprintAbbrev(fp)));
         return;
       }
-      auto found = share_index_.Lookup(fp);
-      if (!found.ok()) {
-        rb.SendError(found.status());
-        return;
-      }
-      if (!found.value().has_value()) {
-        rb.SendError(Status::NotFound("share missing: " + FingerprintAbbrev(fp)));
-        return;
-      }
-      loc = *found.value();
+      loc = *owns.value();
     }
     auto share = share_store_.Fetch(BlobHandle{loc.container_id, loc.index_in_container});
     if (!share.ok()) {

@@ -37,6 +37,9 @@ struct ServerOptions {
   std::string index_dir;
   DbOptions db;
   size_t container_capacity = kDefaultContainerCapacity;
+  // Bound on the container images each container store (shares, recipes)
+  // caches; 0 = no cache, every fetch of a sealed container reads the
+  // backend.
   size_t container_cache_bytes = 32 << 20;
   // --- share-index striping + lookup acceleration --------------------------
   // Share-index stripe count. 0 = auto: hardware_concurrency rounded up to

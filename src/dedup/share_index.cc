@@ -82,15 +82,19 @@ Result<ShareIndexEntry> ShareIndex::ReadEntry(const Fingerprint& fp, AccelOutcom
   return entry;
 }
 
-Result<bool> ShareIndex::UserHasShare(const Fingerprint& fp, UserId user,
-                                      AccelOutcome* outcome) {
+Result<std::optional<ShareLocation>> ShareIndex::UserHasShare(const Fingerprint& fp,
+                                                              UserId user,
+                                                              AccelOutcome* outcome) {
   Result<ShareIndexEntry> entry = ReadEntry(fp, outcome);
   if (entry.status().code() == StatusCode::kNotFound) {
-    return false;
+    return std::optional<ShareLocation>(std::nullopt);
   }
   RETURN_IF_ERROR(entry.status());
   auto it = entry->owners.find(user);
-  return it != entry->owners.end() && it->second > 0;
+  if (it == entry->owners.end() || it->second == 0) {
+    return std::optional<ShareLocation>(std::nullopt);
+  }
+  return std::optional<ShareLocation>(entry->location);
 }
 
 Result<std::optional<ShareLocation>> ShareIndex::Lookup(const Fingerprint& fp,

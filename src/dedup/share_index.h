@@ -61,11 +61,13 @@ class ShareIndex {
   void AttachAccel(DedupIndexAccel* accel) { accel_ = accel; }
   DedupIndexAccel* accel() const { return accel_; }
 
-  // Does this user already own a share with this fingerprint?
-  // (The intra-user dedup query a CDStore client issues before uploading.)
+  // Does this user already own a share with this fingerprint? Returns its
+  // location if so, nullopt otherwise: one index read serves both the
+  // intra-user dedup query a CDStore client issues before uploading and
+  // the owner check plus lookup of a restore.
   // `outcome`, when non-null, reports which accel layer answered.
-  Result<bool> UserHasShare(const Fingerprint& fp, UserId user,
-                            AccelOutcome* outcome = nullptr);
+  Result<std::optional<ShareLocation>> UserHasShare(const Fingerprint& fp, UserId user,
+                                                    AccelOutcome* outcome = nullptr);
 
   // Is this share stored at all (by any user)? Inter-user dedup check.
   Result<std::optional<ShareLocation>> Lookup(const Fingerprint& fp,

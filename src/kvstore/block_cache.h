@@ -1,5 +1,6 @@
-// Sharded LRU cache for SSTable data blocks, keyed by (file number, block
-// offset). LevelDB's block cache equivalent (§4.4).
+// LRU cache under one mutex for SSTable data blocks, keyed by (file number,
+// block offset). LevelDB's block cache equivalent (§4.4). The container
+// store reuses it for sealed container images, keyed (container id, 0).
 #ifndef CDSTORE_SRC_KVSTORE_BLOCK_CACHE_H_
 #define CDSTORE_SRC_KVSTORE_BLOCK_CACHE_H_
 

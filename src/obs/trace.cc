@@ -62,21 +62,25 @@ void UnpackRecord(const uint64_t (&w)[trace_internal::kSpanWords], SpanRecord* r
   rec->annot[trace_internal::kAnnotBytes - 1] = '\0';
 }
 
-// Seqlock writer — owner thread only. Marks the slot open (odd), writes the
-// payload as relaxed words, publishes (even). Readers that overlap discard.
+// Fence-free seqlock (Boehm, "Can Seqlocks Get Along with Programming
+// Language Memory Models?", MSPC 2012), so ThreadSanitizer models every
+// ordering it relies on.
+// Writer — owner thread only. Marks the slot open (odd), writes the payload
+// with release stores, publishes (even). A reader that acquires any new
+// payload word therefore also sees the odd mark, and discards the copy.
 void WriteSlot(trace_internal::Slot& slot, const SpanRecord& rec) {
   uint64_t seq = slot.seq.load(std::memory_order_relaxed);
   slot.seq.store(seq + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
   uint64_t w[trace_internal::kSpanWords];
   PackRecord(rec, w);
   for (size_t i = 0; i < trace_internal::kSpanWords; ++i) {
-    slot.w[i].store(w[i], std::memory_order_relaxed);
+    slot.w[i].store(w[i], std::memory_order_release);
   }
   slot.seq.store(seq + 2, std::memory_order_release);
 }
 
-// Seqlock reader: true when a stable, published record was copied out.
+// Seqlock reader: true when a stable, published record was copied out. The
+// acquire loads of the payload keep the closing seq load after them.
 bool ReadSlot(const trace_internal::Slot& slot, SpanRecord* rec) {
   uint64_t s1 = slot.seq.load(std::memory_order_acquire);
   if (s1 == 0 || (s1 & 1) != 0) {
@@ -84,9 +88,8 @@ bool ReadSlot(const trace_internal::Slot& slot, SpanRecord* rec) {
   }
   uint64_t w[trace_internal::kSpanWords];
   for (size_t i = 0; i < trace_internal::kSpanWords; ++i) {
-    w[i] = slot.w[i].load(std::memory_order_relaxed);
+    w[i] = slot.w[i].load(std::memory_order_acquire);
   }
-  std::atomic_thread_fence(std::memory_order_acquire);
   if (slot.seq.load(std::memory_order_relaxed) != s1) {
     return false;
   }

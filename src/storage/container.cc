@@ -45,56 +45,61 @@ void ContainerBuilder::Reset() {
   lengths_.clear();
 }
 
+namespace {
+
+constexpr size_t kHeaderBytes = 8;  // magic + count
+
+uint32_t LoadU32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
+}  // namespace
+
 Result<ContainerReader> ContainerReader::Parse(Bytes image) {
-  if (image.size() < 12) {
+  RETURN_IF_ERROR(Verify(image));
+  return View(std::make_shared<const Bytes>(std::move(image)));
+}
+
+Status ContainerReader::Verify(ConstByteSpan image) {
+  if (image.size() < kHeaderBytes + 4) {
     return Status::Corruption("container too small");
   }
-  uint32_t stored = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored |= static_cast<uint32_t>(image[image.size() - 4 + i]) << (8 * i);
-  }
-  ConstByteSpan body(image.data(), image.size() - 4);
-  if (MaskCrc(Crc32c(body)) != stored) {
+  if (MaskCrc(Crc32c(image.first(image.size() - 4))) != LoadU32(&image[image.size() - 4])) {
     return Status::Corruption("container checksum mismatch");
   }
-  ContainerReader reader;
-  reader.image_ = std::move(image);
+  return Status::Ok();
+}
 
-  BufferReader r(ConstByteSpan(reader.image_.data(), reader.image_.size() - 4));
-  uint32_t magic = 0;
-  uint32_t count = 0;
-  RETURN_IF_ERROR(r.GetU32(&magic));
-  if (magic != kContainerMagic) {
+Result<ContainerReader> ContainerReader::View(std::shared_ptr<const Bytes> image) {
+  if (image->size() < kHeaderBytes + 4) {
+    return Status::Corruption("container too small");
+  }
+  if (LoadU32(image->data()) != kContainerMagic) {
     return Status::Corruption("bad container magic");
   }
-  RETURN_IF_ERROR(r.GetU32(&count));
-  size_t table_size = static_cast<size_t>(count) * 8;
-  if (r.remaining() < table_size) {
+  ContainerReader reader;
+  reader.count_ = LoadU32(image->data() + 4);
+  size_t table_size = static_cast<size_t>(reader.count_) * 8;
+  if (image->size() - kHeaderBytes - 4 < table_size) {
     return Status::Corruption("container entry table truncated");
   }
-  size_t payload_size = r.remaining() - table_size;
-  size_t payload_base = 8;
-  RETURN_IF_ERROR(r.Skip(payload_size));
-  reader.entries_.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    Entry e;
-    RETURN_IF_ERROR(r.GetU32(&e.offset));
-    RETURN_IF_ERROR(r.GetU32(&e.length));
-    if (static_cast<size_t>(e.offset) + e.length > payload_size) {
-      return Status::Corruption("container entry out of bounds");
-    }
-    e.offset += static_cast<uint32_t>(payload_base);
-    reader.entries_.push_back(e);
-  }
+  reader.table_offset_ = image->size() - 4 - table_size;
+  reader.image_ = std::move(image);
   return reader;
 }
 
 Result<ConstByteSpan> ContainerReader::Blob(uint32_t index) const {
-  if (index >= entries_.size()) {
+  if (index >= count_) {
     return Status::InvalidArgument("blob index out of range");
   }
-  const Entry& e = entries_[index];
-  return ConstByteSpan(image_.data() + e.offset, e.length);
+  const uint8_t* entry = image_->data() + table_offset_ + 8 * static_cast<size_t>(index);
+  uint32_t offset = LoadU32(entry);
+  uint32_t length = LoadU32(entry + 4);
+  if (static_cast<size_t>(offset) + length > table_offset_ - kHeaderBytes) {
+    return Status::Corruption("container entry out of bounds");
+  }
+  return ConstByteSpan(image_->data() + kHeaderBytes + offset, length);
 }
 
 std::string ContainerObjectName(const std::string& kind_prefix, uint64_t container_id) {

@@ -8,6 +8,7 @@
 #define CDSTORE_SRC_STORAGE_CONTAINER_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -53,22 +54,28 @@ class ContainerBuilder {
   std::vector<uint32_t> lengths_;
 };
 
-// Parsed read-only container.
+// Read-only view over a pinned container image. Constant-time to build:
+// Blob(i) reads entry i of the offset table in place and bounds-checks it,
+// so a cached image is never re-parsed or copied.
 class ContainerReader {
  public:
+  // Verify, then View: for an image read back from a backend.
   static Result<ContainerReader> Parse(Bytes image);
+  // Checks the trailing CRC-32C. Every image read from a backend passes
+  // this before anything uses or caches it.
+  static Status Verify(ConstByteSpan image);
+  // Views an image this process built or already verified: checks the
+  // header and the table size, not the CRC.
+  static Result<ContainerReader> View(std::shared_ptr<const Bytes> image);
 
-  uint32_t count() const { return static_cast<uint32_t>(entries_.size()); }
+  uint32_t count() const { return count_; }
   Result<ConstByteSpan> Blob(uint32_t index) const;
 
  private:
   ContainerReader() = default;
-  Bytes image_;
-  struct Entry {
-    uint32_t offset;
-    uint32_t length;
-  };
-  std::vector<Entry> entries_;
+  std::shared_ptr<const Bytes> image_;
+  uint32_t count_ = 0;
+  size_t table_offset_ = 0;  // the payload ends and the offset table starts here
 };
 
 // Object name for a container id, e.g. "c0000000000000002a".

@@ -82,59 +82,39 @@ Status ContainerStore::FlushUser(uint64_t user) {
   return Status::Ok();
 }
 
-Result<std::shared_ptr<const ContainerReader>> ContainerStore::ParsedLocked(
-    uint64_t container_id, Bytes image) {
-  ASSIGN_OR_RETURN(ContainerReader reader, ContainerReader::Parse(std::move(image)));
-  auto shared = std::make_shared<const ContainerReader>(std::move(reader));
-  parsed_.emplace_front(container_id, shared);
-  constexpr size_t kMaxParsed = 8;
-  while (parsed_.size() > kMaxParsed) {
-    parsed_.pop_back();
-  }
-  return shared;
-}
-
 Result<Bytes> ContainerStore::Fetch(const BlobHandle& handle) {
-  MutexLock lock(mu_);
-  // 1. The blob may still sit in an open (unsealed) container.
-  for (const auto& [user, open] : open_) {
-    if (open.id == handle.container_id) {
-      ASSIGN_OR_RETURN(ConstByteSpan blob, open.builder.BlobAt(handle.index));
-      return Bytes(blob.begin(), blob.end());
+  {
+    MutexLock lock(mu_);
+    // The blob may still sit in an open (unsealed) container. A container
+    // missing here was sealed: its image reached the backend (and the
+    // cache) before its id left open_.
+    for (const auto& [user, open] : open_) {
+      if (open.id == handle.container_id) {
+        ASSIGN_OR_RETURN(ConstByteSpan blob, open.builder.BlobAt(handle.index));
+        return Bytes(blob.begin(), blob.end());
+      }
     }
   }
-  // 2. Parsed-container MRU (restores walk recipes in container order).
-  std::shared_ptr<const ContainerReader> reader;
-  for (auto it = parsed_.begin(); it != parsed_.end(); ++it) {
-    if (it->first == handle.container_id) {
-      reader = it->second;
-      parsed_.splice(parsed_.begin(), parsed_, it);
-      break;
-    }
+  std::shared_ptr<const Bytes> image = cache_.Lookup(handle.container_id, 0);
+  if (image == nullptr) {
+    ASSIGN_OR_RETURN(Bytes fetched, backend_->Get(ContainerObjectName(opts_.kind_prefix,
+                                                                      handle.container_id)));
+    // Verify before caching: one corrupt reply must not fail every later
+    // fetch of this container while the cloud itself is healthy.
+    RETURN_IF_ERROR(ContainerReader::Verify(fetched));
+    // A fetch racing DeleteContainer can re-cache a deleted image here.
+    // That is harmless: container ids are never reused, and GC deletes
+    // under the server's exclusive ops lock anyway.
+    image = cache_.Insert(handle.container_id, 0, std::move(fetched));
   }
-  if (reader == nullptr) {
-    // 3. Image cache, then backend.
-    auto cached = cache_.Lookup(handle.container_id, 0);
-    Bytes image;
-    if (cached != nullptr) {
-      image = *cached;
-    } else {
-      lock.Unlock();
-      ASSIGN_OR_RETURN(
-          image, backend_->Get(ContainerObjectName(opts_.kind_prefix, handle.container_id)));
-      lock.Lock();
-      cache_.Insert(handle.container_id, 0, image);
-    }
-    ASSIGN_OR_RETURN(reader, ParsedLocked(handle.container_id, std::move(image)));
-  }
-  ASSIGN_OR_RETURN(ConstByteSpan blob, reader->Blob(handle.index));
+  // The view pins the image, so an eviction meanwhile is harmless.
+  ASSIGN_OR_RETURN(ContainerReader reader, ContainerReader::View(std::move(image)));
+  ASSIGN_OR_RETURN(ConstByteSpan blob, reader.Blob(handle.index));
   return Bytes(blob.begin(), blob.end());
 }
 
 Status ContainerStore::DeleteContainer(uint64_t container_id) {
-  MutexLock lock(mu_);
   cache_.EraseFile(container_id);
-  parsed_.remove_if([container_id](const auto& e) { return e.first == container_id; });
   return backend_->Delete(ContainerObjectName(opts_.kind_prefix, container_id));
 }
 

@@ -1,16 +1,14 @@
 // Container management (§4.5): per-user in-memory open containers capped at
 // 4MB (spatial locality — a container holds only one user's data), sealed
-// to the storage backend when full, and an LRU cache over recently fetched
-// containers to cut backend reads.
+// to the storage backend when full, and one LRU cache of sealed container
+// images to cut backend reads.
 #ifndef CDSTORE_SRC_STORAGE_CONTAINER_STORE_H_
 #define CDSTORE_SRC_STORAGE_CONTAINER_STORE_H_
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <string>
-#include <utility>
 
 #include "src/kvstore/block_cache.h"
 #include "src/storage/backend.h"
@@ -22,7 +20,9 @@ namespace cdstore {
 
 struct ContainerStoreOptions {
   size_t container_capacity = kDefaultContainerCapacity;  // 4MB
-  size_t cache_bytes = 32 << 20;  // LRU cache over fetched containers
+  // Bound on cached container images (sealed here or read back and
+  // verified); 0 = no cache, every sealed fetch reads the backend.
+  size_t cache_bytes = 32 << 20;
   std::string kind_prefix = "c";  // "c" share containers, "r" recipe containers
 };
 
@@ -49,8 +49,9 @@ class ContainerStore {
   // Seals only one user's open container.
   Status FlushUser(uint64_t user);
 
-  // Fetches a blob; open containers and the LRU cache are consulted before
-  // the backend.
+  // Fetches a blob; open containers and the image cache are consulted
+  // before the backend. A backend image is CRC-checked before it is cached
+  // or used. Only the open-container check holds the store lock.
   Result<Bytes> Fetch(const BlobHandle& handle);
 
   // Removes a sealed container from the backend.
@@ -66,7 +67,6 @@ class ContainerStore {
     MutexLock lock(mu_);
     return sealed_count_;
   }
-  const BlockCache& cache() const { return cache_; }
 
  private:
   struct OpenContainer {
@@ -75,10 +75,6 @@ class ContainerStore {
   };
 
   Status SealLocked(OpenContainer* open) REQUIRES(mu_);
-  // Parsed-container MRU: recipe-ordered fetches hit the same container
-  // repeatedly; re-parsing 4MB per blob would dominate restores.
-  Result<std::shared_ptr<const ContainerReader>> ParsedLocked(uint64_t container_id,
-                                                              Bytes image) REQUIRES(mu_);
 
   StorageBackend* backend_;
   ContainerStoreOptions opts_;
@@ -86,12 +82,9 @@ class ContainerStore {
   uint64_t next_id_ GUARDED_BY(mu_);
   uint64_t sealed_count_ GUARDED_BY(mu_) = 0;
   std::map<uint64_t, OpenContainer> open_ GUARDED_BY(mu_);  // user -> open container
-  // Cache of sealed container images, keyed (container_id, 0). Internally
-  // locked, but mutated under mu_ alongside the structures it mirrors.
-  mutable BlockCache cache_;
-  // Small MRU of parsed containers (front = most recent).
-  mutable std::list<std::pair<uint64_t, std::shared_ptr<const ContainerReader>>> parsed_
-      GUARDED_BY(mu_);
+  // Sealed container images keyed (container_id, 0). Internally locked;
+  // holds only images built here or read back with a good CRC.
+  BlockCache cache_;
 };
 
 }  // namespace cdstore

@@ -105,7 +105,13 @@ TEST(DedupAccelUnitTest, AccelFrontedIndexMatchesPlainIndex) {
         auto ha = accel_index.UserHasShare(fp, u);
         auto hb = plain_index.UserHasShare(fp, u);
         ASSERT_TRUE(ha.ok() && hb.ok());
-        ASSERT_EQ(ha.value(), hb.value()) << when << " fp " << i << " user " << u;
+        ASSERT_EQ(ha.value().has_value(), hb.value().has_value())
+            << when << " fp " << i << " user " << u;
+        if (ha.value().has_value()) {
+          EXPECT_EQ(ha.value()->container_id, hb.value()->container_id);
+          EXPECT_EQ(ha.value()->index_in_container, hb.value()->index_in_container);
+          EXPECT_EQ(ha.value()->share_size, hb.value()->share_size);
+        }
       }
     }
   };

@@ -63,8 +63,11 @@ TEST_F(DedupTest, PerUserOwnershipIsIsolated) {
   Fingerprint fp = FingerprintOf(BytesOf("x"));
   ASSERT_TRUE(index.Insert(fp, {1, 0, 8}).ok());
   ASSERT_TRUE(index.AddReference(fp, /*user=*/1).ok());
-  EXPECT_TRUE(index.UserHasShare(fp, 1).value());
-  EXPECT_FALSE(index.UserHasShare(fp, 2).value());
+  auto owned = index.UserHasShare(fp, 1);
+  ASSERT_TRUE(owned.ok() && owned.value().has_value());
+  EXPECT_EQ(owned.value()->container_id, 1u);
+  EXPECT_EQ(owned.value()->share_size, 8u);
+  EXPECT_FALSE(index.UserHasShare(fp, 2).value().has_value());
 }
 
 TEST_F(DedupTest, ReferenceCountingLifecycle) {
@@ -80,8 +83,8 @@ TEST_F(DedupTest, ReferenceCountingLifecycle) {
   EXPECT_FALSE(orphaned);
   ASSERT_TRUE(index.DropReference(fp, 1, &orphaned).ok());
   EXPECT_FALSE(orphaned);
-  EXPECT_FALSE(index.UserHasShare(fp, 1).value());  // user 1 fully released
-  EXPECT_TRUE(index.UserHasShare(fp, 2).value());
+  EXPECT_FALSE(index.UserHasShare(fp, 1).value().has_value());  // user 1 fully released
+  EXPECT_TRUE(index.UserHasShare(fp, 2).value().has_value());
   ASSERT_TRUE(index.DropReference(fp, 2, &orphaned).ok());
   EXPECT_TRUE(orphaned) << "last reference must mark the share collectible";
 }
@@ -187,7 +190,7 @@ TEST_F(DedupTest, IndexSurvivesDbReopen) {
   auto reopened = Db::Open(dir_.Sub("db"), DbOptions{});
   ASSERT_TRUE(reopened.ok());
   ShareIndex index(reopened.value().get());
-  EXPECT_TRUE(index.UserHasShare(fp, 11).value());
+  EXPECT_TRUE(index.UserHasShare(fp, 11).value().has_value());
   auto loc = index.Lookup(fp);
   ASSERT_TRUE(loc.value().has_value());
   EXPECT_EQ(loc.value()->share_size, 99u);

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "src/storage/backend.h"
 #include "src/storage/container.h"
 #include "src/storage/container_store.h"
@@ -191,6 +195,137 @@ TEST(ContainerStoreTest, DeleteContainerRemovesObject) {
   ASSERT_TRUE(store.DeleteContainer(handle.value().container_id).ok());
   EXPECT_FALSE(backend.Exists(ContainerObjectName("c", handle.value().container_id)));
   EXPECT_FALSE(store.Fetch(handle.value()).ok());
+}
+
+// A MemBackend that counts GETs and can flip one bit in the next reply,
+// like a corrupt cloud response.
+class TappedBackend : public MemBackend {
+ public:
+  Result<Bytes> Get(const std::string& name) override {
+    gets.fetch_add(1);
+    ASSIGN_OR_RETURN(Bytes data, MemBackend::Get(name));
+    if (corrupt_next_get.exchange(false) && !data.empty()) {
+      data[data.size() / 2] ^= 0x01;
+    }
+    return data;
+  }
+
+  std::atomic<int> gets{0};
+  std::atomic<bool> corrupt_next_get{false};
+};
+
+TEST(ContainerStoreTest, CorruptGetDoesNotPoisonCache) {
+  TappedBackend backend;
+  Bytes blob = Rng(9).RandomBytes(300);
+  BlobHandle handle;
+  {
+    ContainerStore writer(&backend, SmallStore());
+    auto h = writer.Append(1, blob);
+    ASSERT_TRUE(h.ok());
+    handle = h.value();
+    ASSERT_TRUE(writer.FlushAll().ok());
+  }
+  // A fresh store starts with a cold cache, so both fetches read the backend.
+  ContainerStore store(&backend, SmallStore());
+  backend.corrupt_next_get = true;
+  EXPECT_EQ(store.Fetch(handle).status().code(), StatusCode::kCorruption);
+  auto fetched = store.Fetch(handle);
+  ASSERT_TRUE(fetched.ok()) << "a failed checksum must not be cached: "
+                            << fetched.status().ToString();
+  EXPECT_EQ(fetched.value(), blob);
+  EXPECT_EQ(backend.gets.load(), 2);
+}
+
+TEST(ContainerStoreTest, ZeroCacheBytesCachesNothing) {
+  TappedBackend backend;
+  ContainerStoreOptions opts = SmallStore();
+  opts.cache_bytes = 0;
+  ContainerStore store(&backend, opts);
+  std::vector<std::pair<BlobHandle, Bytes>> written;
+  Rng rng(10);
+  for (int i = 0; i < 12; ++i) {
+    Bytes blob = rng.RandomBytes(200);
+    auto handle = store.Append(1, blob);
+    ASSERT_TRUE(handle.ok());
+    written.push_back({handle.value(), blob});
+  }
+  ASSERT_TRUE(store.FlushAll().ok());
+  // Recipe order fetches each container's blobs back to back: with no
+  // cache, every one of them is a backend GET.
+  int fetches = 0;
+  for (int round = 0; round < 2; ++round) {
+    for (const auto& [handle, blob] : written) {
+      auto fetched = store.Fetch(handle);
+      ASSERT_TRUE(fetched.ok());
+      EXPECT_EQ(fetched.value(), blob);
+      ++fetches;
+      ASSERT_EQ(backend.gets.load(), fetches);
+    }
+  }
+}
+
+TEST(ContainerStoreTest, ConcurrentFetchesDuringAppendsAndSeals) {
+  // 4 readers fetch open and sealed blobs while a writer appends and seals.
+  // The cache holds about two containers, so readers also race evictions
+  // and backend GETs.
+  constexpr int kBlobs = 600;
+  constexpr int kReaders = 4;
+  MemBackend backend;
+  ContainerStoreOptions opts = SmallStore();
+  opts.cache_bytes = 2 * 1024 + 256;
+  ContainerStore store(&backend, opts);
+  auto blob_of = [](int i) { return Rng(1000 + i).RandomBytes(50 + i % 150); };
+  std::vector<BlobHandle> handles(kBlobs);
+  std::atomic<int> published{0};
+  std::atomic<int> failures{0};
+
+  std::thread writer([&] {
+    for (int i = 0; i < kBlobs; ++i) {
+      auto handle = store.Append(1 + i % 2, blob_of(i));
+      if (!handle.ok()) {
+        failures.fetch_add(1);
+        break;
+      }
+      handles[i] = handle.value();
+      published.store(i + 1, std::memory_order_release);
+      if (i % 97 == 0 && !store.FlushUser(1).ok()) {
+        failures.fetch_add(1);
+      }
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(t + 1);
+      int fetched = 0;
+      while (fetched < 400) {
+        int n = published.load(std::memory_order_acquire);
+        if (n == 0) {
+          std::this_thread::yield();
+          continue;
+        }
+        // Half the fetches target the newest blobs, likely still open.
+        int i = (fetched % 2 == 0) ? n - 1 - static_cast<int>(rng.Uniform(std::min(n, 8)))
+                                   : static_cast<int>(rng.Uniform(n));
+        auto blob = store.Fetch(handles[i]);
+        if (!blob.ok() || blob.value() != blob_of(i)) {
+          failures.fetch_add(1);
+        }
+        ++fetched;
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& r : readers) {
+    r.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
+  ASSERT_TRUE(store.FlushAll().ok());
+  for (int i = 0; i < kBlobs; ++i) {
+    auto blob = store.Fetch(handles[i]);
+    ASSERT_TRUE(blob.ok());
+    EXPECT_EQ(blob.value(), blob_of(i));
+  }
 }
 
 TEST(ContainerStoreTest, ContainerIdsIncrease) {
