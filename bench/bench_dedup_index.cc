@@ -7,7 +7,7 @@
 // cold-start bloom-rebuild time as BENCH_JSON lines.
 //
 // Flags: --fps=10000000 --users=4096 --queries=400000 --batch=64
-//        --threads=4 --stripes=0 --cache_mb=32 --bloom_bits=10
+//        --threads=4 --stripes=0 --bloom_bits=10
 //        --hot=65536 --min_p99_speedup=0
 //
 // The CI smoke runs --fps=200000; the full 10M-fingerprint run is the
@@ -88,7 +88,6 @@ struct BenchConfig {
   size_t batch;
   int threads;
   size_t stripes;
-  size_t cache_mb;
   int bloom_bits;
   uint64_t hot;
 };
@@ -171,7 +170,6 @@ int Run(int argc, char** argv) {
   cfg.batch = std::max<size_t>(1, static_cast<size_t>(FlagValue(argc, argv, "batch", 64)));
   cfg.threads = std::max(1, static_cast<int>(FlagValue(argc, argv, "threads", 4)));
   cfg.stripes = static_cast<size_t>(FlagValue(argc, argv, "stripes", 0));
-  cfg.cache_mb = static_cast<size_t>(FlagValue(argc, argv, "cache_mb", 32));
   cfg.bloom_bits = static_cast<int>(FlagValue(argc, argv, "bloom_bits", 10));
   cfg.hot = static_cast<uint64_t>(FlagValue(argc, argv, "hot", 65536));
   double min_p99_speedup = FlagValue(argc, argv, "min_p99_speedup", 0);
@@ -234,7 +232,6 @@ int Run(int argc, char** argv) {
   base.index_dir = index_dir;
   base.share_index_stripes = cfg.stripes;
   base.dedup_bloom_bits_per_key = cfg.bloom_bits;
-  base.dedup_cache_bytes = cfg.cache_mb << 20;
   // The loaded LSM is already one compacted SSTable; keep the server's Db
   // from re-compacting it mid-measurement.
   base.db.compaction_trigger = 1 << 20;
@@ -323,12 +320,10 @@ int Run(int argc, char** argv) {
               off.neg.p99_us, on.neg.p50_us, on.neg.p99_us, neg_p99_speedup);
   std::printf("BENCH_JSON {\"bench\":\"dedup_index_positive\",\"fps\":%llu,\"hot\":%llu,"
               "\"off_p50_us\":%.1f,\"off_p99_us\":%.1f,\"on_p50_us\":%.1f,\"on_p99_us\":%.1f,"
-              "\"p99_speedup\":%.2f,\"cache_hits\":%llu,\"cache_misses\":%llu}\n",
+              "\"p99_speedup\":%.2f}\n",
               static_cast<unsigned long long>(cfg.fps),
               static_cast<unsigned long long>(cfg.hot), off.pos.p50_us, off.pos.p99_us,
-              on.pos.p50_us, on.pos.p99_us, pos_p99_speedup,
-              static_cast<unsigned long long>(accel_stats.cache_hits),
-              static_cast<unsigned long long>(accel_stats.cache_misses));
+              on.pos.p50_us, on.pos.p99_us, pos_p99_speedup);
   std::printf("BENCH_JSON {\"bench\":\"dedup_index_summary\",\"fps\":%llu,"
               "\"neg_p99_speedup\":%.2f,\"pos_p99_speedup\":%.2f,\"bytes_per_fp\":%.2f,"
               "\"bloom_negative\":%llu,\"bloom_false_positive\":%llu}\n",

@@ -36,10 +36,10 @@ inline void PrintHeader(const std::string& title) {
 // Sums the dedup-accel counter families mirrored into `registry`
 // (cdstore_dedup_* — see src/obs/README.md) across all servers feeding it
 // and prints one BENCH_JSON hit-rate line tagged with `bench`. Shows
-// whether the accel's bloom/cache actually absorbed the workload's
-// lookups; silent when no accel metric was ever recorded.
+// whether the accel's blooms actually absorbed the workload's lookups;
+// silent when no accel metric was ever recorded.
 inline void PrintAccelHitRate(const MetricRegistry& registry, const char* bench) {
-  uint64_t bloom_negative = 0, bloom_maybe = 0, cache_hits = 0, cache_misses = 0;
+  uint64_t bloom_negative = 0, bloom_maybe = 0;
   bool seen = false;
   for (const MetricSample& s : registry.Snapshot()) {
     uint64_t v = static_cast<uint64_t>(s.value);
@@ -49,29 +49,18 @@ inline void PrintAccelHitRate(const MetricRegistry& registry, const char* bench)
     } else if (s.name == "cdstore_dedup_bloom_maybe_total") {
       bloom_maybe += v;
       seen = true;
-    } else if (s.name == "cdstore_dedup_cache_hits_total") {
-      cache_hits += v;
-      seen = true;
-    } else if (s.name == "cdstore_dedup_cache_misses_total") {
-      cache_misses += v;
-      seen = true;
     }
   }
   if (!seen) {
     return;
   }
   uint64_t lookups = bloom_negative + bloom_maybe;
-  // Lookups the accel answered without an LSM read: bloom negatives plus
-  // cache hits on the maybes that fell through.
-  double absorbed =
-      lookups == 0 ? 0.0 : static_cast<double>(bloom_negative + cache_hits) / lookups;
+  // Lookups the accel answered without an LSM read: the bloom negatives.
+  double absorbed = lookups == 0 ? 0.0 : static_cast<double>(bloom_negative) / lookups;
   std::printf("BENCH_JSON {\"bench\":\"%s_accel_hit_rate\",\"bloom_negative\":%llu,"
-              "\"bloom_maybe\":%llu,\"cache_hits\":%llu,\"cache_misses\":%llu,"
-              "\"absorbed\":%.4f}\n",
+              "\"bloom_maybe\":%llu,\"absorbed\":%.4f}\n",
               bench, static_cast<unsigned long long>(bloom_negative),
-              static_cast<unsigned long long>(bloom_maybe),
-              static_cast<unsigned long long>(cache_hits),
-              static_cast<unsigned long long>(cache_misses), absorbed);
+              static_cast<unsigned long long>(bloom_maybe), absorbed);
 }
 
 }  // namespace cdstore

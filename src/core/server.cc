@@ -59,8 +59,8 @@ CdstoreServer::CdstoreServer(StorageBackend* backend, const ServerOptions& optio
     metrics_.stripe_contention =
         options_.metrics->GetCounter("cdstore_server_stripe_contention_total");
     metrics_.claim_waits = options_.metrics->GetCounter("cdstore_server_claim_waits_total");
-    static const char* const kOutcomes[3] = {"bloom_negative", "cache_hit", "lsm"};
-    for (int i = 0; i < 3; ++i) {
+    static const char* const kOutcomes[2] = {"bloom_negative", "lsm"};
+    for (int i = 0; i < 2; ++i) {
       metrics_.fpquery_ns[i] = options_.metrics->GetHistogram(
           "cdstore_dedup_fpquery_ns", {{"outcome", kOutcomes[i]}}, LatencyBucketsNs());
     }
@@ -131,9 +131,7 @@ Status CdstoreServer::RebuildAccel() {
   }
   DedupAccelOptions ao;
   ao.stripes = stripe_count_;
-  ao.cache_shards = stripe_count_;
   ao.bloom_bits_per_key = options_.dedup_bloom_bits_per_key;
-  ao.cache_capacity_bytes = options_.dedup_cache_bytes;
   ao.metrics = options_.metrics;
   ASSIGN_OR_RETURN(accel_, DedupIndexAccel::Build(&share_index_, ao));
   share_index_.AttachAccel(accel_.get());
@@ -162,10 +160,10 @@ class StripeLockSet {
   // `contention` (optional) counts the stripes whose lock blocked — the
   // server's stripe-contention metric, recorded with a try-first probe so
   // the uncontended path costs nothing extra.
-  explicit StripeLockSet(std::vector<SharedMutex*> mus,
+  explicit StripeLockSet(std::vector<Mutex*> mus,
                          Counter* contention = nullptr) NO_THREAD_SAFETY_ANALYSIS
       : mus_(std::move(mus)) {
-    for (SharedMutex* mu : mus_) {
+    for (Mutex* mu : mus_) {
       if (mu->TryLock()) {
         continue;
       }
@@ -184,29 +182,7 @@ class StripeLockSet {
   StripeLockSet& operator=(const StripeLockSet&) = delete;
 
  private:
-  std::vector<SharedMutex*> mus_;
-};
-
-// Reader lock that counts when acquisition blocked — the shared-mode probe
-// behind the stripe-contention metric. The try-first probe is free when
-// uncontended; `contention` may be null (metrics off).
-class SCOPED_CAPABILITY ContendedReaderLock {
- public:
-  ContendedReaderLock(SharedMutex& mu, Counter* contention) ACQUIRE_SHARED(mu)
-      : mu_(&mu) {
-    if (!mu_->TryLockShared()) {
-      if (contention != nullptr) {
-        contention->Inc();
-      }
-      mu_->LockShared();
-    }
-  }
-  ~ContendedReaderLock() RELEASE_GENERIC() { mu_->UnlockShared(); }
-  ContendedReaderLock(const ContendedReaderLock&) = delete;
-  ContendedReaderLock& operator=(const ContendedReaderLock&) = delete;
-
- private:
-  SharedMutex* mu_;
+  std::vector<Mutex*> mus_;
 };
 
 }  // namespace
@@ -264,8 +240,8 @@ Status CdstoreServer::SaveMetaLocked() {
   return db_->Put(BytesOf(kMetaKey), w.data());
 }
 
-std::vector<SharedMutex*> CdstoreServer::StripesFor(const std::vector<Fingerprint>& add,
-                                                    const std::vector<Fingerprint>& drop) {
+std::vector<Mutex*> CdstoreServer::StripesFor(const std::vector<Fingerprint>& add,
+                                              const std::vector<Fingerprint>& drop) {
   std::vector<uint8_t> used(stripe_count_, 0);
   for (const Fingerprint& fp : add) {
     used[StripeOf(fp)] = 1;
@@ -273,7 +249,7 @@ std::vector<SharedMutex*> CdstoreServer::StripesFor(const std::vector<Fingerprin
   for (const Fingerprint& fp : drop) {
     used[StripeOf(fp)] = 1;
   }
-  std::vector<SharedMutex*> mus;
+  std::vector<Mutex*> mus;
   for (size_t i = 0; i < stripe_count_; ++i) {
     if (used[i]) {
       mus.push_back(&stripes_[i].mu);
@@ -289,16 +265,15 @@ void CdstoreServer::FpQuery(const FpQueryRequest& req, ReplyBuilder& rb) {
   reply.duplicate.resize(req.fps.size(), 0);
   uint64_t dup_hits = 0;
   // Per-fingerprint timing only when metrics are on (two clock reads per
-  // fingerprint otherwise wasted); the histogram is split by which accel
-  // layer answered, so the bloom/cache/LSM cost structure shows up
-  // directly in cdstore_dedup_fpquery_ns{outcome=...}.
+  // fingerprint otherwise wasted); the histogram is split by whether the
+  // bloom answered, so the bloom/LSM cost structure shows up directly in
+  // cdstore_dedup_fpquery_ns{outcome=...}.
   const bool timed = metrics_.fpquery_ns[0] != nullptr;
   for (size_t i = 0; i < req.fps.size(); ++i) {
     // Intra-user dedup (§3.3): the answer reveals only whether THIS user
     // already uploaded the share — never other users' holdings, which
-    // defeats the side-channel attack of [28].
-    ContendedReaderLock stripe(stripes_[StripeOf(req.fps[i])].mu,
-                               metrics_.stripe_contention);
+    // defeats the side-channel attack of [28]. No stripe lock: the read
+    // is one Db::Get, and only this user's own requests change its answer.
     AccelOutcome outcome = AccelOutcome::kLsm;
     std::chrono::steady_clock::time_point t0;
     if (timed) {
@@ -337,7 +312,7 @@ void CdstoreServer::UploadShares(const UploadSharesRequestView& req, ReplyBuilde
   auto release_claims = [&]() {
     for (const auto& [fp, loc] : new_entries) {
       ShareStripe& s = stripes_[StripeOf(fp)];
-      WriterMutexLock lock(s.mu);
+      MutexLock lock(s.mu);
       s.inflight.erase(fp);
       s.claim_released.SignalAll();
     }
@@ -374,7 +349,7 @@ void CdstoreServer::UploadShares(const UploadSharesRequestView& req, ReplyBuilde
     ShareStripe& stripe = stripes_[StripeOf(fp)];
     bool claimed = false;
     {
-      WriterMutexLock lock(stripe.mu);
+      MutexLock lock(stripe.mu);
       if (stripe.inflight.count(fp) > 0) {
         // A concurrent request is storing this share right now. Wait for
         // its claim to resolve and then consult the index: replying
@@ -422,7 +397,7 @@ void CdstoreServer::UploadShares(const UploadSharesRequestView& req, ReplyBuilde
       return share_store_.Append(req.user, share);
     }();
     if (!handle.ok()) {
-      WriterMutexLock lock(stripe.mu);
+      MutexLock lock(stripe.mu);
       stripe.inflight.erase(fp);
       stripe.claim_released.SignalAll();
       failure = handle.status();
@@ -645,24 +620,22 @@ void CdstoreServer::GetShares(const GetSharesRequest& req, ReplyBuilder& rb) {
   CountUser("cdstore_server_user_requests_total", req.user);
   rb.BeginShares(req.fps.size());
   for (const Fingerprint& fp : req.fps) {
-    ShareLocation loc;
-    {
-      ReaderMutexLock stripe(stripes_[StripeOf(fp)].mu);
-      // Access control: only owners may fetch a share by fingerprint —
-      // possession of a fingerprint must not grant access to the content
-      // (the [27] attack).
-      auto owns = share_index_.UserHasShare(fp, req.user);
-      if (!owns.ok()) {
-        rb.SendError(owns.status());
-        return;
-      }
-      if (!owns.value().has_value()) {
-        rb.SendError(Status::PermissionDenied("user does not own share " +
-                                              FingerprintAbbrev(fp)));
-        return;
-      }
-      loc = *owns.value();
+    // Access control: only owners may fetch a share by fingerprint —
+    // possession of a fingerprint must not grant access to the content
+    // (the [27] attack). Unlocked like FpQuery: while this user holds a
+    // reference the entry cannot be erased, and only GC, which runs with
+    // ops_mu_ exclusive, moves it.
+    auto owns = share_index_.UserHasShare(fp, req.user);
+    if (!owns.ok()) {
+      rb.SendError(owns.status());
+      return;
     }
+    if (!owns.value().has_value()) {
+      rb.SendError(Status::PermissionDenied("user does not own share " +
+                                            FingerprintAbbrev(fp)));
+      return;
+    }
+    const ShareLocation& loc = *owns.value();
     auto share = share_store_.Fetch(BlobHandle{loc.container_id, loc.index_in_container});
     if (!share.ok()) {
       rb.SendError(share.status());
@@ -683,7 +656,7 @@ Status CdstoreServer::DropRecipeRefsLocked(const FileRecipe& recipe, UserId user
                                            uint32_t* orphaned) {
   for (const RecipeEntry& e : recipe.entries) {
     bool orphan = false;
-    WriterMutexLock stripe(stripes_[StripeOf(e.fp)].mu);
+    MutexLock stripe(stripes_[StripeOf(e.fp)].mu);
     RETURN_IF_ERROR(share_index_.DropReference(e.fp, user, &orphan));
     if (orphan) {
       // Index entry removed; container space reclamation is GC's job

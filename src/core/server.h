@@ -4,12 +4,16 @@
 // containers.
 //
 // Concurrency (§4.6, §5: the server is multi-threaded and inter-user dedup
-// must scale): the share index is guarded by fingerprint-sharded stripes,
-// so FpQuery/UploadShares/GetShares from different clients proceed in
-// parallel — share hashing, the dominant handler cost, runs outside every
-// lock. A narrow commit lock covers only file-index/recipe updates and the
-// persisted counters; maintenance operations (flush, GC, snapshots) take
-// the operations lock exclusively and see a quiesced server.
+// must scale): the share index is guarded by fingerprint-sharded stripes
+// that order its writers — UploadShares' claims and every reference
+// read-modify-write — so uploads from different clients proceed in
+// parallel, and share hashing, the dominant handler cost, runs outside
+// every lock. FpQuery and GetShares take no stripe lock: each of their
+// index reads is one Db::Get, atomic per key, and a user's answer depends
+// only on that user's own reference count. A narrow commit lock covers
+// only file-index/recipe updates and the persisted counters; maintenance
+// operations (flush, GC, snapshots) take the operations lock exclusively
+// and see a quiesced server.
 #ifndef CDSTORE_SRC_CORE_SERVER_H_
 #define CDSTORE_SRC_CORE_SERVER_H_
 
@@ -49,13 +53,11 @@ struct ServerOptions {
   // reopens correctly at any other.
   size_t share_index_stripes = 0;
   // Build the dedup lookup accelerator (src/dedup/index_accel.h) at
-  // startup: per-stripe negative-lookup blooms rebuilt from an index scan
-  // plus a sharded hot-fingerprint cache, kept exact across mutations.
+  // startup: per-stripe negative-lookup blooms rebuilt from an index scan,
+  // kept exact across inserts.
   bool dedup_accel = true;
   // Negative-filter density (≈1% false positives at 10).
   int dedup_bloom_bits_per_key = 10;
-  // Hot-fingerprint cache budget across shards (0 = bloom only).
-  size_t dedup_cache_bytes = 32 << 20;
   // --- namespace control plane ---------------------------------------------
   // Hard clamp on a ListPaths page: no reply frame carries more heads than
   // this, however large the namespace (and whatever the client asked for).
@@ -172,9 +174,10 @@ class CdstoreServer : public ServerService {
   // Fingerprint-space sharding of the share index. The count is resolved
   // from ServerOptions::share_index_stripes at construction (core-scaled
   // by default); StripeOfFingerprint keeps the accel's per-stripe blooms
-  // aligned with these locks.
+  // aligned with these locks. Only writers take a stripe: UploadShares'
+  // claim check and every reference read-modify-write.
   struct ShareStripe {
-    SharedMutex mu;
+    Mutex mu;
     // Fingerprints an in-flight UploadShares has claimed but not yet
     // committed to the index. A concurrent request that meets a claim
     // waits (claims resolve in milliseconds) and then re-reads the index,
@@ -188,8 +191,8 @@ class CdstoreServer : public ServerService {
   // The distinct stripe mutexes named by a fingerprint in `add` or `drop`,
   // ascending by stripe index — the acquisition order for batched
   // reference read-modify-writes (see StripeLockSet in server.cc).
-  std::vector<SharedMutex*> StripesFor(const std::vector<Fingerprint>& add,
-                                       const std::vector<Fingerprint>& drop);
+  std::vector<Mutex*> StripesFor(const std::vector<Fingerprint>& add,
+                                 const std::vector<Fingerprint>& drop);
 
   Status LoadMeta();
   Status SaveMetaLocked() REQUIRES(commit_mu_);
@@ -230,7 +233,8 @@ class CdstoreServer : public ServerService {
   Status RebuildAccel();
 
   // Lock order (outer to inner): ops_mu_ -> commit_mu_ -> stripe mutexes
-  // (ascending). Handlers never acquire commit_mu_ while holding a stripe.
+  // (ascending). Handlers never acquire commit_mu_ while holding a stripe;
+  // FpQuery and GetShares hold ops_mu_ shared and nothing else.
   mutable SharedMutex ops_mu_;  // shared: RPCs; exclusive: maintenance
   mutable Mutex commit_mu_;     // file index, recipe store, counters, meta
   // ShareStripe is immovable (mutex + condvar), so the runtime-sized
@@ -247,11 +251,11 @@ class CdstoreServer : public ServerService {
   // Cached contention/claim instruments (null when metrics are off);
   // resolved once at construction so hot paths never touch the registry.
   struct ServerMetrics {
-    Counter* stripe_contention = nullptr;  // stripe locks that blocked
+    Counter* stripe_contention = nullptr;  // PutFile stripe locks that blocked
     Counter* claim_waits = nullptr;        // waits on a foreign inflight claim
-    // FpQuery per-fingerprint latency, split by which accel layer answered
+    // FpQuery per-fingerprint latency, split by whether the bloom answered
     // (cdstore_dedup_fpquery_ns{outcome=...}); indexed by AccelOutcome.
-    Histogram* fpquery_ns[3] = {nullptr, nullptr, nullptr};
+    Histogram* fpquery_ns[2] = {nullptr, nullptr};
   };
   ServerMetrics metrics_;
 

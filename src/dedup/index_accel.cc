@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <utility>
 
 #include "src/util/logging.h"
 
@@ -24,27 +23,14 @@ DedupIndexAccel::DedupIndexAccel(const DedupAccelOptions& options) : options_(op
   size_t stripes = std::max<size_t>(1, FloorPow2(options_.stripes));
   CHECK(stripes == options_.stripes);  // the server resolves to a power of two
   stripe_mask_ = stripes - 1;
-  size_t shards = std::max<size_t>(1, FloorPow2(std::max<size_t>(1, options_.cache_shards)));
-  cache_shard_mask_ = shards - 1;
-  per_shard_capacity_ =
-      options_.cache_capacity_bytes == 0 ? 0 : std::max<size_t>(1, options_.cache_capacity_bytes / shards);
-  cache_.reserve(shards);
-  for (size_t i = 0; i < shards; ++i) {
-    cache_.push_back(std::make_unique<CacheShard>());
-  }
   if (options_.metrics != nullptr) {
     MetricRegistry* m = options_.metrics;
     mirror_.bloom_negative = m->GetCounter("cdstore_dedup_bloom_negative_total");
     mirror_.bloom_maybe = m->GetCounter("cdstore_dedup_bloom_maybe_total");
     mirror_.bloom_false_positive = m->GetCounter("cdstore_dedup_bloom_false_positive_total");
-    mirror_.cache_hits = m->GetCounter("cdstore_dedup_cache_hits_total");
-    mirror_.cache_misses = m->GetCounter("cdstore_dedup_cache_misses_total");
-    mirror_.cache_evictions = m->GetCounter("cdstore_dedup_cache_evictions_total");
-    mirror_.cache_invalidations = m->GetCounter("cdstore_dedup_cache_invalidations_total");
     mirror_.inserts = m->GetCounter("cdstore_dedup_bloom_inserts_total");
     mirror_.bloom_bytes = m->GetGauge("cdstore_dedup_bloom_bytes");
     mirror_.bloom_keys = m->GetGauge("cdstore_dedup_bloom_keys");
-    mirror_.cache_bytes = m->GetGauge("cdstore_dedup_cache_bytes");
     mirror_.rebuild_ms = m->GetGauge("cdstore_dedup_rebuild_ms");
   }
 }
@@ -123,133 +109,15 @@ void DedupIndexAccel::NoteInsert(const Fingerprint& fp) {
   }
 }
 
-size_t DedupIndexAccel::EntryCharge(const ShareIndexEntry& entry) {
-  // Key + fixed entry header + one (user, refs) pair per owner — an
-  // estimate of decoded footprint, deliberately simple and stable.
-  return kFingerprintSize + 32 + entry.owners.size() * 16;
-}
-
-std::shared_ptr<const ShareIndexEntry> DedupIndexAccel::CacheLookup(const Fingerprint& fp) {
-  if (per_shard_capacity_ == 0) {
-    return nullptr;
-  }
-  CacheShard& shard = *cache_[ShardOf(fp)];
-  std::shared_ptr<const ShareIndexEntry> found;
-  {
-    MutexLock lock(shard.mu);
-    auto it = shard.map.find(fp);
-    if (it != shard.map.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // most recent
-      found = it->second->entry;
-    }
-  }
-  if (found != nullptr) {
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    if (mirror_.cache_hits != nullptr) {
-      mirror_.cache_hits->Inc();
-    }
-  } else {
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
-    if (mirror_.cache_misses != nullptr) {
-      mirror_.cache_misses->Inc();
-    }
-  }
-  return found;
-}
-
-void DedupIndexAccel::CacheFill(const Fingerprint& fp, const ShareIndexEntry& entry) {
-  if (per_shard_capacity_ == 0) {
-    return;
-  }
-  CacheShard& shard = *cache_[ShardOf(fp)];
-  size_t charge = EntryCharge(entry);
-  uint64_t evicted = 0;
-  int64_t usage_delta = 0;
-  {
-    MutexLock lock(shard.mu);
-    auto it = shard.map.find(fp);
-    if (it != shard.map.end()) {
-      // Concurrent readers may fill the same entry twice under a shared
-      // stripe lock; both fills carry identical data (no writer can
-      // intervene), so replacing is exact.
-      usage_delta -= static_cast<int64_t>(it->second->charge);
-      shard.usage -= it->second->charge;
-      shard.lru.erase(it->second);
-      shard.map.erase(it);
-    }
-    shard.usage += charge;
-    usage_delta += static_cast<int64_t>(charge);
-    shard.lru.push_front(
-        CacheShard::Node{fp, std::make_shared<const ShareIndexEntry>(entry), charge});
-    shard.map[fp] = shard.lru.begin();
-    while (shard.usage > per_shard_capacity_ && !shard.lru.empty()) {
-      CacheShard::Node& victim = shard.lru.back();
-      shard.usage -= victim.charge;
-      usage_delta -= static_cast<int64_t>(victim.charge);
-      shard.map.erase(victim.fp);
-      shard.lru.pop_back();
-      ++evicted;
-    }
-  }
-  if (usage_delta >= 0) {
-    cache_usage_.fetch_add(static_cast<uint64_t>(usage_delta), std::memory_order_relaxed);
-  } else {
-    cache_usage_.fetch_sub(static_cast<uint64_t>(-usage_delta), std::memory_order_relaxed);
-  }
-  if (evicted > 0) {
-    cache_evictions_.fetch_add(evicted, std::memory_order_relaxed);
-  }
-  if (mirror_.cache_bytes != nullptr) {
-    mirror_.cache_bytes->Add(usage_delta);
-    if (evicted > 0) {
-      mirror_.cache_evictions->Inc(evicted);
-    }
-  }
-}
-
-void DedupIndexAccel::Invalidate(const Fingerprint& fp) {
-  if (per_shard_capacity_ == 0) {
-    return;
-  }
-  CacheShard& shard = *cache_[ShardOf(fp)];
-  size_t dropped = 0;
-  {
-    MutexLock lock(shard.mu);
-    auto it = shard.map.find(fp);
-    if (it == shard.map.end()) {
-      return;
-    }
-    dropped = it->second->charge;
-    shard.usage -= dropped;
-    shard.lru.erase(it->second);
-    shard.map.erase(it);
-  }
-  cache_usage_.fetch_sub(dropped, std::memory_order_relaxed);
-  cache_invalidations_.fetch_add(1, std::memory_order_relaxed);
-  if (mirror_.cache_invalidations != nullptr) {
-    mirror_.cache_invalidations->Inc();
-    mirror_.cache_bytes->Add(-static_cast<int64_t>(dropped));
-  }
-}
-
 DedupAccelStats DedupIndexAccel::stats() const {
   DedupAccelStats s;
   s.bloom_negative = bloom_negative_.load(std::memory_order_relaxed);
   s.bloom_maybe = bloom_maybe_.load(std::memory_order_relaxed);
   s.bloom_false_positive = bloom_false_positive_.load(std::memory_order_relaxed);
-  s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  s.cache_misses = cache_misses_.load(std::memory_order_relaxed);
-  s.cache_evictions = cache_evictions_.load(std::memory_order_relaxed);
-  s.cache_invalidations = cache_invalidations_.load(std::memory_order_relaxed);
   s.inserts = inserts_.load(std::memory_order_relaxed);
   s.rebuild_keys = rebuild_keys_;
   s.rebuild_ns = rebuild_ns_;
-  uint64_t bloom_bytes = 0;
-  for (const auto& b : blooms_) {
-    bloom_bytes += b->memory_bytes();
-  }
-  s.bloom_bytes = bloom_bytes;
-  s.cache_bytes = cache_usage_.load(std::memory_order_relaxed);
+  s.bloom_bytes = memory_bytes();
   return s;
 }
 
@@ -258,7 +126,7 @@ uint64_t DedupIndexAccel::memory_bytes() const {
   for (const auto& b : blooms_) {
     total += b->memory_bytes();
   }
-  return total + cache_usage_.load(std::memory_order_relaxed);
+  return total;
 }
 
 }  // namespace cdstore

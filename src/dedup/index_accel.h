@@ -1,29 +1,16 @@
-// Dedup lookup acceleration (the ROADMAP's "dedup index at
-// millions-of-users scale" item): a layer in front of ShareIndex's LSM
-// that answers the two FpQuery-shaped questions — "is this fingerprint
-// stored at all?" and "what does its entry say?" — without touching the
-// key-value store on the common paths:
+// Dedup lookup acceleration: a per-stripe negative-lookup filter in front
+// of ShareIndex's LSM, so the overwhelmingly common NEW-fingerprint case of
+// a backup upload answers "definitely absent" in one hash + a few relaxed
+// atomic loads instead of a key-value store read.
 //
-//   bloom   per-stripe negative-lookup filters (AtomicBloomFilter, lock-
-//           free): the overwhelmingly common NEW-fingerprint case of a
-//           backup upload answers in one hash + a few relaxed atomic
-//           loads. Rebuilt from an index scan at startup, maintained on
-//           every insert. False positives fall through to the cache/LSM;
-//           false negatives cannot happen because a fingerprint enters the
-//           bloom BEFORE its LSM commit (a failed commit leaves a harmless
-//           stale positive, as does an erase — the filter never forgets).
-//   cache   a sharded LRU over hot fingerprints' full ShareIndexEntry
-//           (owners + location), generalized from the kvstore block-cache
-//           machinery: repeat lookups of popular shares (the long tail of
-//           cross-user duplicates) skip the LSM read + deserialize.
-//
-// Exactness contract: every ShareIndex mutation invalidates the touched
-// fingerprints' cache entries, and the server performs those mutations
-// under the same share-index stripe locks that order the corresponding
-// reads — so a dedup decision with the accel attached is byte-identical to
-// one without it. The accel itself is fully thread-safe (lock-free bloom,
-// per-shard cache mutexes), so even the claim-protected InsertBatch path,
-// which runs outside stripe locks, stays race-free.
+// Each stripe owns one AtomicBloomFilter (lock-free). The filters are
+// rebuilt from an index scan at startup and maintained on every insert.
+// False positives fall through to the LSM. False negatives cannot happen,
+// because a fingerprint enters the bloom BEFORE its LSM commit (a failed
+// commit leaves a harmless stale positive, as does an erase — the filter
+// never forgets). That is the whole exactness contract: a dedup decision
+// with the accel attached is byte-identical to one without it, and since
+// the accel holds no copy of any entry, readers need no lock to stay exact.
 //
 // Instrumentation: internal relaxed-atomic counters are always on (benches
 // and tests read exact numbers via stats()); when a MetricRegistry is
@@ -34,16 +21,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/dedup/fingerprint.h"
 #include "src/dedup/share_index.h"
 #include "src/kvstore/bloom.h"
 #include "src/obs/metrics.h"
-#include "src/util/sync.h"
 
 namespace cdstore {
 
@@ -59,10 +43,6 @@ struct DedupAccelOptions {
   // degrades gradually instead of immediately.
   double bloom_headroom = 2.0;
   size_t bloom_min_capacity_per_stripe = 4096;
-  // Hot-fingerprint cache budget across all shards (0 disables the cache;
-  // the bloom still runs).
-  size_t cache_capacity_bytes = 32 << 20;
-  size_t cache_shards = 16;
   // Optional mirroring into the live metrics plane. Not owned.
   MetricRegistry* metrics = nullptr;
 };
@@ -72,15 +52,10 @@ struct DedupAccelStats {
   uint64_t bloom_negative = 0;        // reads answered "definitely absent"
   uint64_t bloom_maybe = 0;           // reads that fell through the bloom
   uint64_t bloom_false_positive = 0;  // ...and then missed the LSM anyway
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_evictions = 0;
-  uint64_t cache_invalidations = 0;  // mutations that dropped a live entry
-  uint64_t inserts = 0;              // fingerprints added to the blooms
-  uint64_t rebuild_keys = 0;         // fingerprints seen by the startup scan
-  uint64_t rebuild_ns = 0;           // wall time of that scan
-  uint64_t bloom_bytes = 0;          // filter memory across stripes
-  uint64_t cache_bytes = 0;          // current cache usage
+  uint64_t inserts = 0;               // fingerprints added to the blooms
+  uint64_t rebuild_keys = 0;          // fingerprints seen by the startup scan
+  uint64_t rebuild_ns = 0;            // wall time of that scan
+  uint64_t bloom_bytes = 0;           // filter memory across stripes
 };
 
 class DedupIndexAccel {
@@ -96,14 +71,10 @@ class DedupIndexAccel {
   DedupIndexAccel(const DedupIndexAccel&) = delete;
   DedupIndexAccel& operator=(const DedupIndexAccel&) = delete;
 
-  // --- read path (called by ShareIndex under the caller's stripe lock) ---
+  // --- read path (lock-free; called by ShareIndex before any LSM read) ---
   // True iff the fingerprint can be proven absent without a store read.
   // Counts bloom_negative / bloom_maybe.
   bool DefinitelyAbsent(const Fingerprint& fp);
-  // The cached entry or nullptr. Counts cache_hits / cache_misses.
-  std::shared_ptr<const ShareIndexEntry> CacheLookup(const Fingerprint& fp);
-  // Remembers an entry just read from the LSM.
-  void CacheFill(const Fingerprint& fp, const ShareIndexEntry& entry);
   // A bloom "maybe" that the LSM then answered NotFound.
   void NoteBloomFalsePositive();
 
@@ -112,13 +83,9 @@ class DedupIndexAccel {
   // the LSM commit so readers can never see an indexed fingerprint the
   // bloom denies.
   void NoteInsert(const Fingerprint& fp);
-  // Drops any cached entry for a mutated fingerprint. Exact when the
-  // caller holds the fingerprint's stripe lock exclusively (the server
-  // does); always race-safe.
-  void Invalidate(const Fingerprint& fp);
 
   DedupAccelStats stats() const;
-  // Bloom + current cache memory, the "accel bytes per fingerprint"
+  // Filter memory across stripes, the "accel bytes per fingerprint"
   // denominator's numerator.
   uint64_t memory_bytes() const;
   size_t stripe_count() const { return blooms_.size(); }
@@ -126,45 +93,15 @@ class DedupIndexAccel {
  private:
   explicit DedupIndexAccel(const DedupAccelOptions& options);
 
-  // Charged bytes for one cache entry (key + decoded entry estimate).
-  static size_t EntryCharge(const ShareIndexEntry& entry);
-
-  struct CacheShard {
-    struct Node {
-      Fingerprint fp;
-      std::shared_ptr<const ShareIndexEntry> entry;
-      size_t charge = 0;
-    };
-    mutable Mutex mu;
-    size_t usage GUARDED_BY(mu) = 0;
-    std::list<Node> lru GUARDED_BY(mu);  // front = most recent
-    std::unordered_map<Fingerprint, std::list<Node>::iterator, FingerprintHash> map
-        GUARDED_BY(mu);
-  };
-
-  size_t ShardOf(const Fingerprint& fp) const {
-    // Bits disjoint from the stripe selector, so cache shards don't
-    // degenerate to one per stripe when counts coincide.
-    return fp.empty() ? 0 : ((FingerprintHash{}(fp) >> 32) & cache_shard_mask_);
-  }
-
   DedupAccelOptions options_;
   size_t stripe_mask_;
-  size_t cache_shard_mask_;
-  size_t per_shard_capacity_;
   std::vector<std::unique_ptr<AtomicBloomFilter>> blooms_;
-  std::vector<std::unique_ptr<CacheShard>> cache_;
 
   // Always-on exact counters (relaxed; merged in stats()).
   std::atomic<uint64_t> bloom_negative_{0};
   std::atomic<uint64_t> bloom_maybe_{0};
   std::atomic<uint64_t> bloom_false_positive_{0};
-  std::atomic<uint64_t> cache_hits_{0};
-  std::atomic<uint64_t> cache_misses_{0};
-  std::atomic<uint64_t> cache_evictions_{0};
-  std::atomic<uint64_t> cache_invalidations_{0};
   std::atomic<uint64_t> inserts_{0};
-  std::atomic<uint64_t> cache_usage_{0};
   uint64_t rebuild_keys_ = 0;
   uint64_t rebuild_ns_ = 0;
 
@@ -173,14 +110,9 @@ class DedupIndexAccel {
     Counter* bloom_negative = nullptr;
     Counter* bloom_maybe = nullptr;
     Counter* bloom_false_positive = nullptr;
-    Counter* cache_hits = nullptr;
-    Counter* cache_misses = nullptr;
-    Counter* cache_evictions = nullptr;
-    Counter* cache_invalidations = nullptr;
     Counter* inserts = nullptr;
     Gauge* bloom_bytes = nullptr;
     Gauge* bloom_keys = nullptr;
-    Gauge* cache_bytes = nullptr;
     Gauge* rebuild_ms = nullptr;
   };
   Mirror mirror_;

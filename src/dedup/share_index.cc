@@ -55,19 +55,11 @@ Result<ShareIndexEntry> ShareIndex::ReadEntry(const Fingerprint& fp, AccelOutcom
   if (outcome != nullptr) {
     *outcome = AccelOutcome::kLsm;
   }
-  if (accel_ != nullptr) {
-    if (accel_->DefinitelyAbsent(fp)) {
-      if (outcome != nullptr) {
-        *outcome = AccelOutcome::kBloomNegative;
-      }
-      return Status::NotFound("share not indexed (bloom)");
+  if (accel_ != nullptr && accel_->DefinitelyAbsent(fp)) {
+    if (outcome != nullptr) {
+      *outcome = AccelOutcome::kBloomNegative;
     }
-    if (std::shared_ptr<const ShareIndexEntry> cached = accel_->CacheLookup(fp)) {
-      if (outcome != nullptr) {
-        *outcome = AccelOutcome::kCacheHit;
-      }
-      return *cached;
-    }
+    return Status::NotFound("share not indexed (bloom)");
   }
   Bytes value;
   Status st = db_->Get(KeyFor(fp), &value);
@@ -75,11 +67,7 @@ Result<ShareIndexEntry> ShareIndex::ReadEntry(const Fingerprint& fp, AccelOutcom
     accel_->NoteBloomFalsePositive();
   }
   RETURN_IF_ERROR(st);
-  ASSIGN_OR_RETURN(ShareIndexEntry entry, ShareIndexEntry::Deserialize(value));
-  if (accel_ != nullptr) {
-    accel_->CacheFill(fp, entry);
-  }
-  return entry;
+  return ShareIndexEntry::Deserialize(value);
 }
 
 Result<std::optional<ShareLocation>> ShareIndex::UserHasShare(const Fingerprint& fp,
@@ -121,11 +109,7 @@ Status ShareIndex::Insert(const Fingerprint& fp, const ShareLocation& location) 
   if (accel_ != nullptr) {
     accel_->NoteInsert(fp);
   }
-  RETURN_IF_ERROR(db_->Put(key, entry.Serialize()));
-  if (accel_ != nullptr) {
-    accel_->Invalidate(fp);
-  }
-  return Status::Ok();
+  return db_->Put(key, entry.Serialize());
 }
 
 Status ShareIndex::InsertBatch(
@@ -142,13 +126,7 @@ Status ShareIndex::InsertBatch(
       accel_->NoteInsert(fp);  // before the commit — see Insert()
     }
   }
-  RETURN_IF_ERROR(db_->Write(batch));
-  if (accel_ != nullptr) {
-    for (const auto& [fp, location] : entries) {
-      accel_->Invalidate(fp);
-    }
-  }
-  return Status::Ok();
+  return db_->Write(batch);
 }
 
 Status ShareIndex::PutEntries(
@@ -163,13 +141,7 @@ Status ShareIndex::PutEntries(
       accel_->NoteInsert(fp);
     }
   }
-  RETURN_IF_ERROR(db_->Write(batch));
-  if (accel_ != nullptr) {
-    for (const auto& [fp, entry] : entries) {
-      accel_->Invalidate(fp);
-    }
-  }
-  return Status::Ok();
+  return db_->Write(batch);
 }
 
 Status ShareIndex::ReplaceReferences(const std::vector<Fingerprint>& add,
@@ -223,13 +195,6 @@ Status ShareIndex::ReplaceReferences(const std::vector<Fingerprint>& add,
     }
   }
   RETURN_IF_ERROR(db_->Write(batch));
-  if (accel_ != nullptr) {
-    // Invalidate after the successful commit, still under the caller's
-    // stripe locks, so concurrent readers only ever cache committed state.
-    for (const auto& [fp, d] : delta) {
-      accel_->Invalidate(fp);
-    }
-  }
   if (first_ref_bytes != nullptr) {
     *first_ref_bytes = unique_bytes;
   }
@@ -242,11 +207,7 @@ Status ShareIndex::ReplaceReferences(const std::vector<Fingerprint>& add,
 Status ShareIndex::AddReference(const Fingerprint& fp, UserId user) {
   ASSIGN_OR_RETURN(ShareIndexEntry entry, ReadEntry(fp, nullptr));
   entry.owners[user] += 1;
-  RETURN_IF_ERROR(db_->Put(KeyFor(fp), entry.Serialize()));
-  if (accel_ != nullptr) {
-    accel_->Invalidate(fp);
-  }
-  return Status::Ok();
+  return db_->Put(KeyFor(fp), entry.Serialize());
 }
 
 Status ShareIndex::DropReference(const Fingerprint& fp, UserId user, bool* orphaned) {
@@ -262,31 +223,18 @@ Status ShareIndex::DropReference(const Fingerprint& fp, UserId user, bool* orpha
   if (entry.owners.empty()) {
     *orphaned = true;
   }
-  RETURN_IF_ERROR(db_->Put(KeyFor(fp), entry.Serialize()));
-  if (accel_ != nullptr) {
-    accel_->Invalidate(fp);
-  }
-  return Status::Ok();
+  return db_->Put(KeyFor(fp), entry.Serialize());
 }
 
 Status ShareIndex::Erase(const Fingerprint& fp) {
-  RETURN_IF_ERROR(db_->Delete(KeyFor(fp)));
-  // The bloom keeps a stale positive (filters never forget); only the
-  // cached entry must go.
-  if (accel_ != nullptr) {
-    accel_->Invalidate(fp);
-  }
-  return Status::Ok();
+  // The bloom keeps a stale positive (filters never forget).
+  return db_->Delete(KeyFor(fp));
 }
 
 Status ShareIndex::UpdateLocation(const Fingerprint& fp, const ShareLocation& location) {
   ASSIGN_OR_RETURN(ShareIndexEntry entry, ReadEntry(fp, nullptr));
   entry.location = location;
-  RETURN_IF_ERROR(db_->Put(KeyFor(fp), entry.Serialize()));
-  if (accel_ != nullptr) {
-    accel_->Invalidate(fp);
-  }
-  return Status::Ok();
+  return db_->Put(KeyFor(fp), entry.Serialize());
 }
 
 Status ShareIndex::ForEach(

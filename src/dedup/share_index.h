@@ -21,13 +21,12 @@ namespace cdstore {
 
 class DedupIndexAccel;
 
-// Which layer of the attached lookup accelerator answered a read (or kLsm
-// when none is attached). The server histograms FpQuery latency per
-// outcome (cdstore_dedup_fpquery_ns{outcome=...}).
+// Whether the attached lookup accelerator answered a read or it went to
+// the LSM (always kLsm when none is attached). The server histograms
+// FpQuery latency per outcome (cdstore_dedup_fpquery_ns{outcome=...}).
 enum class AccelOutcome : uint8_t {
   kBloomNegative = 0,  // per-stripe bloom proved the fingerprint absent
-  kCacheHit = 1,       // hot-fingerprint cache held the entry
-  kLsm = 2,            // fell through to the LSM
+  kLsm = 1,            // fell through to the LSM
 };
 
 // Where a unique share physically lives.
@@ -53,19 +52,20 @@ class ShareIndex {
   explicit ShareIndex(Db* db);
 
   // Attaches a lookup accelerator (src/dedup/index_accel.h): reads consult
-  // its bloom filters and hot-fingerprint cache before the LSM, and every
-  // mutation keeps it exact (bloom adds BEFORE the commit, cache
-  // invalidation after). Not owned; nullptr detaches. The accel must have
-  // been built from this index's current contents (DedupIndexAccel::Build),
-  // or bloom negatives would be wrong.
+  // its bloom filters before the LSM, and every insert keeps it exact (the
+  // bloom add comes BEFORE the commit). Not owned; nullptr detaches. The
+  // accel must have been built from this index's current contents
+  // (DedupIndexAccel::Build), or bloom negatives would be wrong.
   void AttachAccel(DedupIndexAccel* accel) { accel_ = accel; }
   DedupIndexAccel* accel() const { return accel_; }
 
   // Does this user already own a share with this fingerprint? Returns its
   // location if so, nullopt otherwise: one index read serves both the
   // intra-user dedup query a CDStore client issues before uploading and
-  // the owner check plus lookup of a restore.
-  // `outcome`, when non-null, reports which accel layer answered.
+  // the owner check plus lookup of a restore. One Db::Get, atomic per key,
+  // so the answer needs no caller lock: it depends only on this user's
+  // reference count, which no other user's mutation changes.
+  // `outcome`, when non-null, reports whether the bloom answered.
   Result<std::optional<ShareLocation>> UserHasShare(const Fingerprint& fp, UserId user,
                                                     AccelOutcome* outcome = nullptr);
 
@@ -140,8 +140,8 @@ class ShareIndex {
   Status PutEntries(const std::vector<std::pair<Fingerprint, ShareIndexEntry>>& entries);
 
  private:
-  // Reads + deserializes an entry through the accel cache when one is
-  // attached (bloom gate, cache lookup, LSM fill). NotFound propagates.
+  // Bloom gate (when an accel is attached), then Db::Get and Deserialize.
+  // NotFound propagates.
   Result<ShareIndexEntry> ReadEntry(const Fingerprint& fp, AccelOutcome* outcome);
 
   Bytes KeyFor(const Fingerprint& fp) const;

@@ -289,13 +289,24 @@ Status Db::Get(ConstByteSpan key, Bytes* value) {
 }
 
 Status Db::GetAt(uint64_t snapshot_seq, ConstByteSpan key, Bytes* value) {
-  MutexLock lock(mu_);
+  // Pin the memtable and table set under the lock, as NewIterator does,
+  // and probe them unlocked. Clamping to last_seq_ hides the records a
+  // concurrent Write is still adding to the pinned memtable, so a read
+  // sees a batch whole or not at all.
+  std::shared_ptr<const MemTable> mem;
+  std::vector<std::shared_ptr<SsTable>> tables;
+  {
+    MutexLock lock(mu_);
+    mem = mem_;
+    tables = tables_;
+    snapshot_seq = std::min(snapshot_seq, last_seq_);
+  }
   bool tombstone = false;
-  Status st = mem_->Get(key, snapshot_seq, value, &tombstone);
+  Status st = mem->Get(key, snapshot_seq, value, &tombstone);
   if (st.ok() || tombstone) {
     return tombstone ? Status::NotFound("deleted") : st;
   }
-  for (auto it = tables_.rbegin(); it != tables_.rend(); ++it) {
+  for (auto it = tables.rbegin(); it != tables.rend(); ++it) {
     bool found = false;
     bool tomb = false;
     Status ts = (*it)->Get(key, snapshot_seq, value, &found, &tomb);

@@ -21,10 +21,10 @@
 
 namespace cdstore {
 
-// Thread-safe. Get and Write serialize on one mutex; the memtable and
-// SSTable probes run under it. An iterator runs outside that mutex on the
-// memtable and tables it was created over, which it keeps alive (see
-// NewIterator).
+// Thread-safe. Writes, flushes and compactions serialize on one mutex.
+// A Get or an iterator takes it only to pin the current memtable and table
+// set (shared_ptrs), then reads them outside it; what it pinned stays alive
+// and unchanged for it after a flush or compaction replaces them.
 class Db {
  public:
   ~Db();
@@ -37,7 +37,8 @@ class Db {
   // Applies all ops atomically (one WAL record, consecutive seqs).
   Status Write(const WriteBatch& batch);
 
-  // Reads the latest visible version.
+  // Reads the latest visible version: every batch committed before the
+  // call, and no part of one still being applied.
   Status Get(ConstByteSpan key, Bytes* value);
   // Reads as of a snapshot obtained from GetSnapshot().
   Status GetAt(uint64_t snapshot_seq, ConstByteSpan key, Bytes* value);
@@ -94,7 +95,7 @@ class Db {
   DbOptions opts_;
   mutable Mutex mu_;
   BlockCache cache_;
-  // Shared with the iterators that pinned them.
+  // Shared with the Gets and iterators that pinned them.
   std::shared_ptr<MemTable> mem_ GUARDED_BY(mu_);
   std::unique_ptr<WalWriter> wal_ GUARDED_BY(mu_);
   // Oldest first; lookups go newest first. Declared after cache_: a table

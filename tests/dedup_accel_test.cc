@@ -2,10 +2,13 @@
 // false-positive rate within the configured bound, read/write exactness of
 // the accel-fronted ShareIndex against a plain one, end-to-end dedup-stat
 // byte-equivalence accel-on vs accel-off across DeleteVersion /
-// ApplyRetention / GC, the stripe-count reopen regression, and a
-// TSAN-raced concurrent-upload scenario.
+// ApplyRetention / GC, the stripe-count reopen regression, and two
+// TSAN-raced scenarios: concurrent uploads checked against an accel-off
+// reopen, and an owner's lock-free reads racing another user's reference
+// rewrites of the same shares.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <functional>
 #include <string>
 #include <thread>
@@ -27,6 +30,15 @@ namespace {
 
 Fingerprint TestFp(uint64_t i, const char* tag) {
   return FingerprintOf(BytesOf(std::string(tag) + std::to_string(i)));
+}
+
+// One typed RPC against `server`: the status an error reply carries, else
+// the decoded reply.
+template <class Req, class Reply>
+Status Call(CdstoreServer& server, const Req& req, Reply* reply) {
+  Bytes frame = Dispatch(server, Encode(req));
+  RETURN_IF_ERROR(DecodeIfError(frame));
+  return Decode(frame, reply);
 }
 
 TEST(DedupAccelUnitTest, BloomFalsePositiveRateWithinBound) {
@@ -81,8 +93,6 @@ TEST(DedupAccelUnitTest, AccelFrontedIndexMatchesPlainIndex) {
 
   DedupAccelOptions ao;
   ao.stripes = 8;
-  ao.cache_capacity_bytes = 4096;  // tiny: force evictions into the mix
-  ao.cache_shards = 4;
   auto accel = DedupIndexAccel::Build(&accel_index, ao);
   ASSERT_TRUE(accel.ok());
   accel_index.AttachAccel(accel.value().get());
@@ -116,9 +126,9 @@ TEST(DedupAccelUnitTest, AccelFrontedIndexMatchesPlainIndex) {
     }
   };
 
-  // Interleaved mutations, mirrored to both indices. Reads between rounds
-  // keep the accel cache hot so invalidation bugs would surface as
-  // divergence, not just staleness.
+  // Interleaved mutations, mirrored to both indices, with full reads
+  // between rounds: a fingerprint the bloom wrongly denied would surface
+  // as divergence.
   for (int round = 0; round < 6; ++round) {
     for (int i = 0; i < kFps; ++i) {
       Fingerprint fp = TestFp(i, "diff");
@@ -169,10 +179,11 @@ TEST(DedupAccelUnitTest, AccelFrontedIndexMatchesPlainIndex) {
     }
     check_all("round");
   }
-  // The accel actually participated: the workload produced cache traffic.
+  // The accel actually participated: reads went through the bloom, and
+  // the ones it could not rule out went on to the LSM.
   DedupAccelStats stats = accel.value()->stats();
-  EXPECT_GT(stats.cache_hits + stats.cache_misses, 0u);
-  EXPECT_GT(stats.cache_invalidations, 0u);
+  EXPECT_GT(stats.bloom_negative, 0u);
+  EXPECT_GT(stats.bloom_maybe, 0u);
 }
 
 class DedupAccelE2eTest : public ::testing::Test {
@@ -226,6 +237,37 @@ class DedupAccelE2eTest : public ::testing::Test {
     }
   };
 
+  // The latest generation's recipe fingerprints of every path `user` has
+  // on `server`.
+  static std::vector<Fingerprint> RecipeFps(CdstoreServer& server, UserId user) {
+    ListPathsRequest list;
+    list.user = user;
+    ListPathsReply paths;
+    EXPECT_TRUE(Call(server, list, &paths).ok());
+    std::vector<Fingerprint> fps;
+    for (const PathInfo& p : paths.paths) {
+      GetFileRequest get;
+      get.user = user;
+      get.path_key = p.name_share;
+      GetFileReply file;
+      EXPECT_TRUE(Call(server, get, &file).ok());
+      for (const RecipeEntry& e : file.recipe) {
+        fps.push_back(e.fp);
+      }
+    }
+    return fps;
+  }
+
+  static std::vector<uint8_t> FpQuery(CdstoreServer& server, UserId user,
+                                      const std::vector<Fingerprint>& fps) {
+    FpQueryRequest req;
+    req.user = user;
+    req.fps = fps;
+    FpQueryReply reply;
+    EXPECT_TRUE(Call(server, req, &reply).ok());
+    return reply.duplicate;
+  }
+
   void MakeDeployment(Deployment& d, const std::function<void(ServerOptions&)>& tune) {
     for (int i = 0; i < kN; ++i) {
       d.backends.push_back(std::make_unique<MemBackend>());
@@ -271,8 +313,7 @@ TEST_F(DedupAccelE2eTest, DedupStatsByteIdenticalAccelOnVsOff) {
       UploadStats stats;
       ASSERT_TRUE(client.Upload("/data", data.FileFor(0, w), &stats, fo).ok());
     }
-    // DeleteVersion drops generation 1's references through the accel's
-    // invalidation path.
+    // DeleteVersion drops generation 1's references.
     ASSERT_TRUE(client.DeleteVersion("/data", 1).ok());
     // ApplyRetention prunes down to the last two generations.
     RetentionPolicy policy;
@@ -303,8 +344,8 @@ TEST_F(DedupAccelE2eTest, DedupStatsByteIdenticalAccelOnVsOff) {
   }
   // The run exercised the accel, not a disabled shell.
   DedupAccelStats stats = on.servers[0]->dedup_accel()->stats();
-  EXPECT_GT(stats.bloom_negative + stats.bloom_maybe, 0u);
-  EXPECT_GT(stats.cache_invalidations, 0u);
+  EXPECT_GT(stats.bloom_negative, 0u);
+  EXPECT_GT(stats.bloom_maybe, 0u);
 }
 
 // A store written at one stripe count must reopen correctly at another:
@@ -357,14 +398,13 @@ TEST_F(DedupAccelE2eTest, StripeCountReopenRegression) {
 }
 
 // TSAN scenario: concurrent clients race FpQuery reads against
-// UploadShares' claim-protected InsertBatch (which runs OUTSIDE stripe
-// locks) and PutFile's reference commits. Shared content across users
-// maximizes cross-user dedup traffic through the bloom + cache.
+// UploadShares' claim-protected InsertBatch and PutFile's reference
+// commits. Shared content across users maximizes cross-user dedup traffic
+// through the bloom.
 TEST_F(DedupAccelE2eTest, ConcurrentUploadsRaceAccel) {
   Deployment d;
   MakeDeployment(d, [](ServerOptions& so) {
-    so.share_index_stripes = 8;       // fewer stripes: more lock contention
-    so.dedup_cache_bytes = 64 << 10;  // small cache: eviction under race
+    so.share_index_stripes = 8;  // fewer stripes: more lock contention
   });
 
   constexpr int kThreads = 4;
@@ -394,13 +434,184 @@ TEST_F(DedupAccelE2eTest, ConcurrentUploadsRaceAccel) {
   for (auto& th : threads) {
     th.join();
   }
-  // Accel stayed exact under the race: a fresh accel rebuilt from the
-  // settled index agrees with the live one on every fingerprint's
-  // presence (live bloom may hold extra stale positives only).
-  DedupAccelStats live = d.servers[0]->dedup_accel()->stats();
-  EXPECT_GT(live.inserts, 0u);
-  StatsReply stats = d.Stats(0);
-  EXPECT_GT(stats.unique_shares, 0u);
+  ASSERT_GT(d.servers[0]->dedup_accel()->stats().inserts, 0u);
+
+  // Accel stayed exact under the race: every user's FpQuery over all
+  // users' recipe fingerprints (its own and the others' private ones)
+  // answers exactly as the same store reopened without the accel.
+  auto answers = [&]() {
+    std::vector<std::vector<uint8_t>> out;
+    for (int i = 0; i < kN; ++i) {
+      std::vector<Fingerprint> fps;
+      std::vector<size_t> own_end;
+      for (UserId u = 1; u <= kThreads; ++u) {
+        std::vector<Fingerprint> recipe = RecipeFps(*d.servers[i], u);
+        EXPECT_FALSE(recipe.empty()) << "cloud " << i << " user " << u;
+        fps.insert(fps.end(), recipe.begin(), recipe.end());
+        own_end.push_back(fps.size());
+      }
+      for (UserId u = 1; u <= kThreads; ++u) {
+        std::vector<uint8_t> dup = FpQuery(*d.servers[i], u, fps);
+        // A user's own recipe fingerprints are all its duplicates.
+        size_t begin = u == 1 ? 0 : own_end[u - 2];
+        for (size_t j = begin; j < own_end[u - 1]; ++j) {
+          EXPECT_EQ(dup[j], 1) << "cloud " << i << " user " << u << " fp " << j;
+        }
+        out.push_back(std::move(dup));
+      }
+    }
+    return out;
+  };
+  std::vector<std::vector<uint8_t>> live = answers();
+  d.Reopen([](ServerOptions& so) {
+    so.share_index_stripes = 8;
+    so.dedup_accel = false;
+  });
+  ASSERT_EQ(d.servers[0]->dedup_accel(), nullptr);
+  EXPECT_EQ(answers(), live);
+}
+
+// Readers take no stripe lock. User A loops FpQuery and GetShares over
+// shares it owns while user B rewrites its own references to the same
+// shares (PutFile new-generation and replace-latest, DeleteVersion) and
+// stores and orphans shares only B owns, on a Db small enough to flush and
+// compact throughout. A's references never change, so every answer must
+// be "duplicate", every share byte-exact, and no request denied.
+TEST_F(DedupAccelE2eTest, OwnerReadsRaceAnotherUsersReferenceRewrites) {
+  TempDir dir;
+  MemBackend backend;
+  ServerOptions so;
+  so.index_dir = dir.Sub("index");
+  so.share_index_stripes = 4;
+  so.container_capacity = 16 * 1024;
+  so.db.write_buffer_size = 4 * 1024;
+  so.db.compaction_trigger = 3;
+  auto created = CdstoreServer::Create(&backend, so);
+  ASSERT_TRUE(created.ok()) << created.status();
+  CdstoreServer& server = *created.value();
+  constexpr UserId kA = 1, kB = 2;
+
+  std::vector<Bytes> shared, b_only;
+  for (uint64_t i = 0; i < 48; ++i) {
+    shared.push_back(Rng(1000 + i).RandomBytes(200 + i));
+  }
+  for (uint64_t i = 0; i < 16; ++i) {
+    b_only.push_back(Rng(5000 + i).RandomBytes(300 + i));
+  }
+  auto recipe_of = [](const std::vector<Bytes>& shares) {
+    std::vector<RecipeEntry> recipe;
+    for (const Bytes& s : shares) {
+      recipe.push_back(RecipeEntry{FingerprintOf(s), static_cast<uint32_t>(s.size()),
+                                   static_cast<uint32_t>(s.size())});
+    }
+    return recipe;
+  };
+  auto upload = [&](UserId user, const std::vector<Bytes>& shares) {
+    UploadSharesRequest req;
+    req.user = user;
+    req.shares = shares;
+    UploadSharesReply reply;
+    return Call(server, req, &reply);
+  };
+  auto put = [&](UserId user, const std::vector<RecipeEntry>& recipe, PutFileMode mode,
+                 uint64_t* gen) {
+    PutFileRequest req;
+    req.user = user;
+    req.path_key = BytesOf(user == kA ? "path-a" : "path-b");
+    req.mode = mode;
+    req.recipe = recipe;
+    PutFileReply reply;
+    Status st = Call(server, req, &reply);
+    *gen = reply.generation_id;
+    return st;
+  };
+  auto delete_version = [&](uint64_t gen) {
+    DeleteVersionRequest req;
+    req.user = kB;
+    req.path_key = BytesOf("path-b");
+    req.generation_id = gen;
+    DeleteVersionReply reply;
+    return Call(server, req, &reply);
+  };
+
+  std::vector<RecipeEntry> a_recipe = recipe_of(shared);
+  std::vector<RecipeEntry> b_recipe = a_recipe;
+  for (const RecipeEntry& e : recipe_of(b_only)) {
+    b_recipe.push_back(e);
+  }
+  std::vector<Fingerprint> fps;
+  for (const RecipeEntry& e : a_recipe) {
+    fps.push_back(e.fp);
+  }
+  uint64_t gen = 0;
+  ASSERT_TRUE(upload(kA, shared).ok());
+  ASSERT_TRUE(put(kA, a_recipe, PutFileMode::kNewGeneration, &gen).ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> reads{0};
+  std::atomic<uint64_t> wrong{0};
+  auto reader = [&]() {
+    FpQueryRequest query;
+    query.user = kA;
+    query.fps = fps;
+    GetSharesRequest get;
+    get.user = kA;
+    get.fps = fps;
+    while (!stop.load()) {
+      FpQueryReply dup;
+      Status st = Call(server, query, &dup);
+      if (!st.ok() || dup.duplicate != std::vector<uint8_t>(fps.size(), 1)) {
+        ADD_FAILURE() << "FpQuery: " << st;
+        wrong.fetch_add(1);
+      }
+      GetSharesReply got;
+      st = Call(server, get, &got);
+      if (!st.ok() || got.shares != shared) {
+        ADD_FAILURE() << "GetShares: " << st;
+        wrong.fetch_add(1);
+      }
+      reads.fetch_add(1);
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back(reader);
+  }
+  // B's rounds: store its private shares (re-stored after each orphaning),
+  // append a generation, replace it in place, delete the previous one, and
+  // every other round delete everything B holds.
+  Status writer_status;
+  uint64_t prev = 0;
+  for (int round = 0; round < 24 && writer_status.ok(); ++round) {
+    uint64_t next = 0;
+    writer_status = upload(kB, b_only);
+    if (writer_status.ok()) {
+      writer_status = put(kB, b_recipe, PutFileMode::kNewGeneration, &next);
+    }
+    if (writer_status.ok()) {
+      writer_status = put(kB, b_recipe, PutFileMode::kReplaceLatest, &gen);
+    }
+    if (writer_status.ok() && prev != 0) {
+      writer_status = delete_version(prev);
+    }
+    prev = next;
+    if (writer_status.ok() && round % 2 == 1) {
+      writer_status = delete_version(next);
+      prev = 0;
+    }
+    while (writer_status.ok() && reads.load() < static_cast<uint64_t>(round + 1)) {
+      std::this_thread::yield();  // every round overlaps some reads
+    }
+  }
+  stop.store(true);
+  for (auto& t : readers) {
+    t.join();
+  }
+  ASSERT_TRUE(writer_status.ok()) << writer_status;
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_GT(reads.load(), 0u);
+  DedupAccelStats stats = server.dedup_accel()->stats();
+  EXPECT_GT(stats.bloom_maybe, 0u);
 }
 
 }  // namespace

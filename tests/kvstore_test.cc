@@ -625,6 +625,109 @@ TEST(DbTest, ConcurrentScansSeeExactlyTheWritesBeforeThem) {
   EXPECT_GT(scans, 1);
 }
 
+// Point reads pin the memtable and table set, then probe unlocked. Readers
+// Get every key while one writer overwrites all keys with a rising version
+// per batch (each batch triggers a flush) and compacts every few batches,
+// unlinking the tables readers may still hold. A read must see at least
+// the batches committed before it, at most those started by its end, and
+// never an older version of a key than an earlier read of that key saw.
+TEST(DbTest, ConcurrentGetsSeeRisingValuesAcrossFlushAndCompaction) {
+  TempDir dir;
+  DbOptions o;
+  o.write_buffer_size = 4 * 1024;  // every batch below flushes
+  o.compaction_trigger = 1 << 20;  // compaction only where the writer asks
+  auto opened = Db::Open(dir.Sub("db"), o);
+  ASSERT_TRUE(opened.ok());
+  Db* db = opened.value().get();
+  const int kKeys = 64;
+  const int kVersions = 240;
+  auto value_of = [](int version) {
+    return B("v" + std::to_string(version) + std::string(60, 'x'));
+  };
+  auto version_of = [](const Bytes& value) {
+    return std::stoi(std::string(value.begin() + 1, value.end() - 60));
+  };
+  std::atomic<int> started{0};
+  std::atomic<int> committed{0};
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> gets{0};
+  std::thread writer([&] {
+    for (int v = 1; v <= kVersions && !stop.load(); ++v) {
+      WriteBatch batch;
+      for (int k = 0; k < kKeys; ++k) {
+        batch.Put(NumKey(k), value_of(v));
+      }
+      started.store(v, std::memory_order_release);
+      Status st = db->Write(batch);
+      if (st.ok() && v % 4 == 0) {
+        // Let the readers make progress over the current tables first.
+        uint64_t seen = gets.load();
+        while (gets.load() < seen + kKeys && !stop.load()) {
+          std::this_thread::yield();
+        }
+        st = db->CompactAll();
+      }
+      if (!st.ok()) {
+        ADD_FAILURE() << "version " << v << ": " << st;
+        break;
+      }
+      committed.store(v, std::memory_order_release);
+    }
+    stop.store(true);
+  });
+  auto reader = [&]() {
+    std::vector<int> last(kKeys, 0);
+    bool failed = false;
+    while (!failed && !stop.load()) {
+      for (int k = 0; k < kKeys && !failed; ++k) {
+        int before = committed.load(std::memory_order_acquire);
+        Bytes value;
+        Status st = db->Get(NumKey(k), &value);
+        int after = started.load(std::memory_order_acquire);
+        gets.fetch_add(1);
+        if (st.code() == StatusCode::kNotFound && before == 0) {
+          continue;  // no batch committed yet
+        }
+        if (!st.ok()) {
+          ADD_FAILURE() << "key " << k << ": " << st;
+          failed = true;
+          break;
+        }
+        int v = version_of(value);
+        if (v < before || v > after || v < last[k]) {
+          ADD_FAILURE() << "key " << k << " read version " << v << ", committed " << before
+                        << ".." << after << ", earlier read " << last[k];
+          failed = true;
+        }
+        last[k] = v;
+      }
+    }
+    if (failed) {
+      stop.store(true);
+    }
+  };
+  // More readers than cores: a reader descheduled between pinning and
+  // probing is still reading the tables a compaction has since dropped.
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 8; ++r) {
+    readers.emplace_back(reader);
+  }
+  writer.join();
+  for (auto& t : readers) {
+    t.join();
+  }
+  EXPECT_EQ(committed.load(), kVersions);
+  EXPECT_GT(gets.load(), static_cast<uint64_t>(kKeys));
+  // Compactions unlinked the early tables while reads were running.
+  EXPECT_FALSE(FileExists(dir.Sub("db/000001.sst")));
+  EXPECT_EQ(db->sstable_count(), 1);
+  Bytes value;
+  for (int k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(db->Get(NumKey(k), &value).ok());
+    EXPECT_EQ(value, value_of(kVersions));
+  }
+}
+
 TEST(DbTest, BlockCacheServesRepeatedReads) {
   TempDir dir;
   DbOptions o = SmallDb();
