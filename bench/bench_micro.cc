@@ -1,5 +1,6 @@
-// Microbenchmarks (google-benchmark) for the primitive substrates: SHA-256,
-// AES-256 (block + CTR), GF(2^8) region ops and Reed-Solomon encoding —
+// Microbenchmarks (google-benchmark) for the primitive substrates: SHA-256
+// (whole messages, and block compression per kernel tier), AES-256 (block +
+// CTR), GF(2^8) region ops per kernel tier and Reed-Solomon coding —
 // the components whose costs explain the Figure 5 results — and the LSM
 // point read behind every share-index lookup.
 #include <benchmark/benchmark.h>
@@ -59,18 +60,63 @@ void BM_Aes256Ctr(benchmark::State& state) {
 }
 BENCHMARK(BM_Aes256Ctr)->Arg(8192)->Arg(65536);
 
+// Arg 1 picks the GF(256) region-multiply tier: 0 scalar split tables,
+// 1 SSSE3 PSHUFB, 2 AVX2 VPSHUFB (Gf256AddMulRegion dispatches to the best
+// one the CPU has).
 void BM_GfAddMulRegion(benchmark::State& state) {
+  static const char* const kTiers[] = {"scalar", "SSSE3", "AVX2"};
+  const int tier = static_cast<int>(state.range(1));
+  if ((tier == 1 && !internal::SimdAvailable()) || (tier == 2 && !internal::Avx2Available())) {
+    state.SkipWithError("CPU lacks this GF(256) tier");
+    return;
+  }
   Rng rng(5);
   Bytes src = rng.RandomBytes(state.range(0));
   Bytes dst = rng.RandomBytes(state.range(0));
+  const uint8_t c = 0x57;
+  const auto& t = internal::GetGf256Tables();
   for (auto _ : state) {
-    Gf256AddMulRegion(dst, src, 0x57);
+    if (tier == 0) {
+      Gf256AddMulRegionScalar(dst, src, c);
+    } else if (tier == 1) {
+      internal::AddMulRegionSsse3(dst.data(), src.data(), src.size(), t.split_lo[c],
+                                  t.split_hi[c]);
+    } else {
+      internal::AddMulRegionAvx2(dst.data(), src.data(), src.size(), t.split_lo[c],
+                                 t.split_hi[c]);
+    }
     benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
-  state.SetLabel(Gf256SimdTier() == 2 ? "AVX2" : (Gf256SimdTier() == 1 ? "SSSE3" : "scalar"));
+  state.SetLabel(kTiers[tier]);
 }
-BENCHMARK(BM_GfAddMulRegion)->Arg(4096)->Arg(65536);
+BENCHMARK(BM_GfAddMulRegion)->ArgsProduct({{4096, 65536}, {0, 1, 2}});
+
+// SHA-256 block compression by tier (arg 1: 0 scalar, 1 SHA-NI) over a
+// whole number of 64-byte blocks, without padding or finalization.
+void BM_Sha256Blocks(benchmark::State& state) {
+  const bool shani = state.range(1) == 1;
+  if (shani && !internal::ShaNiAvailable()) {
+    state.SkipWithError("CPU lacks SHA-NI");
+    return;
+  }
+  Bytes msg = Rng(8).RandomBytes(state.range(0));
+  const size_t blocks = msg.size() / Sha256::kBlockSize;
+  uint32_t digest[8] = {};  // any chaining state costs the same
+  for (auto _ : state) {
+    if (shani) {
+      internal::ShaNiProcessBlocks(digest, msg.data(), blocks);
+    } else {
+      internal::Sha256ProcessBlocksScalar(digest, msg.data(), blocks);
+    }
+    benchmark::DoNotOptimize(digest);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+  state.SetLabel(shani ? "SHA-NI" : "scalar");
+}
+BENCHMARK(BM_Sha256Blocks)->ArgsProduct({{65536}, {0, 1}});
 
 void BM_RsEncode(benchmark::State& state) {
   int n = 4, k = 3;
@@ -81,8 +127,13 @@ void BM_RsEncode(benchmark::State& state) {
     data.push_back(rng.RandomBytes(state.range(0)));
   }
   std::vector<Bytes> out;
+  // The code is systematic: the first k shards must be the data itself.
+  if (!rs.Encode(data, &out).ok() || !std::equal(data.begin(), data.end(), out.begin())) {
+    state.SkipWithError("Encode failed");
+    return;
+  }
   for (auto _ : state) {
-    (void)rs.Encode(data, &out);
+    (void)rs.Encode(data, &out);  // checked above; same inputs every iteration
     benchmark::DoNotOptimize(out.data());
   }
   state.SetBytesProcessed(state.iterations() * state.range(0) * k);
@@ -98,12 +149,19 @@ void BM_RsDecodeWithParity(benchmark::State& state) {
     data.push_back(rng.RandomBytes(state.range(0)));
   }
   std::vector<Bytes> all;
-  (void)rs.Encode(data, &all);
+  if (!rs.Encode(data, &all).ok()) {
+    state.SkipWithError("Encode failed");
+    return;
+  }
   std::vector<int> ids = {0, 2, 3};  // needs matrix inversion
   std::vector<Bytes> shards = {all[0], all[2], all[3]};
   std::vector<Bytes> out;
+  if (!rs.Decode(ids, shards, &out).ok() || out != data) {
+    state.SkipWithError("Decode did not reproduce the data shards");
+    return;
+  }
   for (auto _ : state) {
-    (void)rs.Decode(ids, shards, &out);
+    (void)rs.Decode(ids, shards, &out);  // checked above; same inputs every iteration
     benchmark::DoNotOptimize(out.data());
   }
   state.SetBytesProcessed(state.iterations() * state.range(0) * k);

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "src/obs/metrics.h"
 #include "src/util/bytes.h"
 #include "src/util/rng.h"
 
@@ -31,36 +30,6 @@ inline Bytes RandomData(size_t bytes, uint64_t seed = 42) {
 
 inline void PrintHeader(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
-}
-
-// Sums the dedup-accel counter families mirrored into `registry`
-// (cdstore_dedup_* — see src/obs/README.md) across all servers feeding it
-// and prints one BENCH_JSON hit-rate line tagged with `bench`. Shows
-// whether the accel's blooms actually absorbed the workload's lookups;
-// silent when no accel metric was ever recorded.
-inline void PrintAccelHitRate(const MetricRegistry& registry, const char* bench) {
-  uint64_t bloom_negative = 0, bloom_maybe = 0;
-  bool seen = false;
-  for (const MetricSample& s : registry.Snapshot()) {
-    uint64_t v = static_cast<uint64_t>(s.value);
-    if (s.name == "cdstore_dedup_bloom_negative_total") {
-      bloom_negative += v;
-      seen = true;
-    } else if (s.name == "cdstore_dedup_bloom_maybe_total") {
-      bloom_maybe += v;
-      seen = true;
-    }
-  }
-  if (!seen) {
-    return;
-  }
-  uint64_t lookups = bloom_negative + bloom_maybe;
-  // Lookups the accel answered without an LSM read: the bloom negatives.
-  double absorbed = lookups == 0 ? 0.0 : static_cast<double>(bloom_negative) / lookups;
-  std::printf("BENCH_JSON {\"bench\":\"%s_accel_hit_rate\",\"bloom_negative\":%llu,"
-              "\"bloom_maybe\":%llu,\"absorbed\":%.4f}\n",
-              bench, static_cast<unsigned long long>(bloom_negative),
-              static_cast<unsigned long long>(bloom_maybe), absorbed);
 }
 
 }  // namespace cdstore

@@ -3,14 +3,21 @@
 // of CDStore vs the two baselines under Sept-2014 AWS pricing.
 //
 // The dedup ratio can come from a MEASUREMENT instead of an assumption:
-// point --bench-json at a file holding bench_generations output (its
-// BENCH_JSON lines) and the generation_series_summary's measured
-// logical/unique ratio replaces the default.
+// point --bench-json at a file of `benchmark/run.py --out` records (one
+// JSON object per line). The last correct `fsl-weekly` record (the §5.2
+// weekly snapshot series) gives the ratio n / (k * stored_bytes_per_logical)
+// at the benchmark's (n,k) = (4,3): without dedup CDStore stores n/k bytes
+// per logical byte, and the record says what the series actually stored.
+// stored_bytes_per_logical counts every backend byte, recipes and
+// container headers included, so this ratio is a little lower than one
+// over share bytes alone.
 //
-//   ./examples/cost_explorer [weekly_tb] [dedup_ratio] [retention_weeks]
-//   ./examples/cost_explorer 16 10 26
-//   ./build/bench_generations > /tmp/gen.json
-//   ./examples/cost_explorer 16 --bench-json=/tmp/gen.json
+//   ./build/cost_explorer [weekly_tb] [dedup_ratio] [retention_weeks]
+//   ./build/cost_explorer 16 10 26
+//   python3 benchmark/run.py --workload fsl-weekly --seconds 30 --out /tmp/fsl.jsonl
+//   ./build/cost_explorer 16 --bench-json=/tmp/fsl.jsonl
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -23,21 +30,43 @@ using namespace cdstore;
 
 namespace {
 
-// Pulls `"key":<number>` out of a BENCH_JSON line (the benches emit flat
-// one-line objects; no JSON library needed for that).
-bool ExtractNumber(const std::string& line, const std::string& key, double* out) {
-  std::string needle = "\"" + key + "\":";
-  size_t pos = line.find(needle);
-  if (pos == std::string::npos) {
+// The benchmark's erasure-code parameters: kClouds in
+// benchmark/src/harness.h and ClientOptions' default k.
+constexpr int kBenchN = 4;
+constexpr int kBenchK = 3;
+
+int Usage() {
+  std::fprintf(stderr,
+               "usage: cost_explorer [weekly_tb] [dedup_ratio] [retention_weeks] "
+               "[--bench-json=FILE]\n"
+               "       weekly_tb and dedup_ratio are positive numbers, retention_weeks a\n"
+               "       positive whole number; FILE holds benchmark/run.py --out records\n");
+  return 2;
+}
+
+// Parses all of `text` as a finite positive number.
+bool ParsePositive(const char* text, double* out) {
+  char* end = nullptr;
+  double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v) || v <= 0) {
     return false;
   }
-  *out = std::atof(line.c_str() + pos + needle.size());
+  *out = v;
   return true;
 }
 
-// Scans a bench output file for the generation-series summary and returns
-// its measured dedup ratio (logical bytes / unique bytes across the whole
-// generation series), or 0 when absent.
+// Returns the position just past `"key":` and any spaces in a one-line
+// JSON record, or npos.
+size_t ValueAt(const std::string& line, const std::string& key, size_t from = 0) {
+  size_t pos = line.find("\"" + key + "\"", from);
+  if (pos == std::string::npos) {
+    return pos;
+  }
+  return line.find_first_not_of(" :", pos + key.size() + 2);
+}
+
+// Scans run records for the last correct fsl-weekly one and returns its
+// measured dedup ratio, or 0 when there is none.
 double MeasuredDedupRatio(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -47,13 +76,18 @@ double MeasuredDedupRatio(const std::string& path) {
   std::string line;
   double ratio = 0;
   while (std::getline(in, line)) {
-    if (line.find("BENCH_JSON") == std::string::npos ||
-        line.find("\"bench\":\"generation_series_summary\"") == std::string::npos) {
+    size_t workload = ValueAt(line, "workload");
+    size_t correct = ValueAt(line, "correct");
+    size_t metric = ValueAt(line, "stored_bytes_per_logical");
+    if (workload == std::string::npos || line.compare(workload, 12, "\"fsl-weekly\"") != 0 ||
+        correct == std::string::npos || line.compare(correct, 4, "true") != 0 ||
+        metric == std::string::npos) {
       continue;
     }
-    double v = 0;
-    if (ExtractNumber(line, "dedup_ratio", &v) && v > 0) {
-      ratio = v;  // last summary wins (reruns append)
+    size_t value = ValueAt(line, "value", metric);
+    double stored = value == std::string::npos ? 0 : std::atof(line.c_str() + value);
+    if (stored > 0) {
+      ratio = kBenchN / (kBenchK * stored);  // last record wins (--out appends)
     }
   }
   return ratio;
@@ -70,10 +104,16 @@ int main(int argc, char** argv) {
       bench_json = argv[i] + 13;
       continue;
     }
+    double v = 0;
     ++positional;
-    if (positional == 1) s.weekly_backup_tb = std::atof(argv[i]);
-    if (positional == 2) s.dedup_ratio = std::atof(argv[i]);
-    if (positional == 3) s.retention_weeks = std::atoi(argv[i]);
+    if (positional > 3 || !ParsePositive(argv[i], &v) ||
+        (positional == 3 && (v != std::floor(v) || v > INT_MAX))) {
+      std::fprintf(stderr, "invalid argument: '%s'\n", argv[i]);
+      return Usage();
+    }
+    if (positional == 1) s.weekly_backup_tb = v;
+    if (positional == 2) s.dedup_ratio = v;
+    if (positional == 3) s.retention_weeks = static_cast<int>(v);
   }
   bool measured = false;
   if (!bench_json.empty()) {
@@ -82,8 +122,8 @@ int main(int argc, char** argv) {
       s.dedup_ratio = ratio;
       measured = true;
     } else {
-      std::fprintf(stderr, "no generation_series_summary with dedup_ratio in %s; "
-                           "using %.0fx\n",
+      std::fprintf(stderr, "no correct fsl-weekly record with stored_bytes_per_logical in %s; "
+                           "using the assumed %.0fx\n",
                    bench_json.c_str(), s.dedup_ratio);
     }
   }
@@ -93,7 +133,7 @@ int main(int argc, char** argv) {
   std::printf("weekly backup: %.2f TB   dedup ratio: %.1fx%s   retention: %d weeks   "
               "(n,k)=(%d,%d)\n\n",
               s.weekly_backup_tb, s.dedup_ratio,
-              measured ? " (measured by bench_generations)" : " (assumed)",
+              measured ? " (measured by the fsl-weekly benchmark)" : " (assumed)",
               s.retention_weeks, s.n, s.k);
   std::printf("logical data under retention: %.1f TB\n\n",
               s.weekly_backup_tb * s.retention_weeks);

@@ -20,6 +20,10 @@ namespace cdstore {
 namespace {
 const char kMetaKey[] = "Mserver";
 
+// Paths per page of an ApplyRetentionNamespace sweep whose request leaves
+// page_size at 0; the sweep takes the commit lock once per page.
+constexpr size_t kRetentionSweepPage = 64;
+
 // Resolves ServerOptions::share_index_stripes to the power of two the
 // stripe mask needs: 0 = auto (hardware_concurrency, at least 16);
 // explicit counts round up. Capped at 256 — beyond that, lock spreading
@@ -884,7 +888,7 @@ void CdstoreServer::ApplyRetentionNamespace(const ApplyRetentionNamespaceRequest
   {
     ReaderMutexLock ops(ops_mu_);
     size_t page_size = req.page_size == 0
-                           ? options_.retention_sweep_page
+                           ? kRetentionSweepPage
                            : std::min<size_t>(req.page_size, options_.list_paths_max_page);
     Bytes cursor;
     while (true) {

@@ -62,9 +62,6 @@ struct ServerOptions {
   // Hard clamp on a ListPaths page: no reply frame carries more heads than
   // this, however large the namespace (and whatever the client asked for).
   size_t list_paths_max_page = 512;
-  // Default paths-per-page of an ApplyRetentionNamespace sweep when the
-  // request leaves page_size at 0; one commit-lock acquisition per page.
-  size_t retention_sweep_page = 64;
   // Snapshot lifecycle (§4.4 "periodic snapshots in the cloud backend"):
   // after maintenance that changed the index (retention pruning, GC), write
   // a BackupIndexSnapshot automatically and prune old automatic snapshots
