@@ -106,7 +106,8 @@ Status CdstoreServer::FlushExclusive() {
   Status meta_st;
   {
     MutexLock commit(commit_mu_);
-    meta_st = SaveMetaLocked();
+    WriteBatch meta_only;
+    meta_st = CommitLocked(&meta_only, counters_);
   }
   if (!share_st.ok()) {
     return share_st;
@@ -206,9 +207,7 @@ Status CdstoreServer::LoadMeta() {
     RETURN_IF_ERROR(r.GetU64(&generations));
     {
       MutexLock commit(commit_mu_);
-      physical_share_bytes_ = stored_bytes;
-      file_count_ = files;
-      generation_count_ = generations;
+      counters_ = Counters{stored_bytes, files, generations};
     }
     // Restore the container id sequences so new containers never collide
     // with ones already at the backend.
@@ -234,14 +233,17 @@ Status CdstoreServer::LoadMeta() {
   return Status::Ok();
 }
 
-Status CdstoreServer::SaveMetaLocked() {
+Status CdstoreServer::CommitLocked(WriteBatch* batch, const Counters& next) {
   BufferWriter w;
   w.PutU64(share_store_.next_container_id());
   w.PutU64(recipe_store_.next_container_id());
-  w.PutU64(physical_share_bytes_);
-  w.PutU64(file_count_);
-  w.PutU64(generation_count_);
-  return db_->Put(BytesOf(kMetaKey), w.data());
+  w.PutU64(next.physical_share_bytes);
+  w.PutU64(next.file_count);
+  w.PutU64(next.generation_count);
+  batch->Put(BytesOf(kMetaKey), w.data());
+  RETURN_IF_ERROR(db_->Write(*batch));
+  counters_ = next;
+  return Status::Ok();
 }
 
 std::vector<Mutex*> CdstoreServer::StripesFor(const std::vector<Fingerprint>& add,
@@ -323,18 +325,23 @@ void CdstoreServer::UploadShares(const UploadSharesRequestView& req, ReplyBuilde
     new_entries.clear();
     batch_bytes = 0;
   };
-  // Commits the accumulated batch as one index write, then releases its
-  // claims. Counters advance only once the batch is durably indexed, so a
-  // failed InsertBatch never inflates the persisted accounting.
+  // Commits the accumulated inserts and the counters as one index write,
+  // then releases the claims. The counters advance only with the write, so
+  // a failed commit never inflates the persisted accounting.
   auto commit_batch = [&]() -> Status {
     ScopedSpan commit_span(options_.tracer, "kv_commit");
     commit_span.AnnotateKV("entries", new_entries.size());
-    Status st = share_index_.InsertBatch(new_entries);
-    if (st.ok() && !new_entries.empty()) {
-      stored += static_cast<uint32_t>(new_entries.size());
+    Status st;
+    if (!new_entries.empty()) {
       MutexLock commit(commit_mu_);
-      physical_share_bytes_ += batch_bytes;
-      st = SaveMetaLocked();
+      WriteBatch batch;
+      share_index_.StageInserts(new_entries, &batch);
+      Counters next = counters_;
+      next.physical_share_bytes += batch_bytes;
+      st = CommitLocked(&batch, next);
+      if (st.ok()) {
+        stored += static_cast<uint32_t>(new_entries.size());
+      }
     }
     release_claims();
     return st;
@@ -498,94 +505,94 @@ void CdstoreServer::PutFile(const PutFileRequest& req, ReplyBuilder& rb) {
   }
 
   // Verify every recipe entry names a stored share, drop the replaced
-  // generation's references, and add this one's — one batched index pass
-  // under the stripes the touched fingerprints hash to. The same pass
-  // counts this generation's unique bytes (shares first referenced here),
-  // exact because every touched stripe is held.
+  // generation's references, add this one's, and write the generation
+  // record, path head and counters — all staged into one batch and
+  // committed with one write under the stripes the touched fingerprints
+  // hash to. The reference pass also counts this generation's unique bytes
+  // (shares first referenced here), exact because every touched stripe is
+  // held until the write.
   std::vector<Fingerprint> add_fps;
   add_fps.reserve(req.recipe.size());
   for (const RecipeEntry& e : req.recipe) {
     add_fps.push_back(e.fp);
   }
-  uint64_t unique_bytes = 0;
-  uint64_t dropped_bytes = 0;
+  GenerationRecord rec;
   {
-    // Covers both acquiring the touched stripes and the batched reference
-    // pass under them — the PutFile tail a contended server stretches.
+    // Covers both acquiring the touched stripes and the commit under them —
+    // the PutFile tail a contended server stretches.
     ScopedSpan stripe_span(options_.tracer, "stripe_wait");
     StripeLockSet stripe_locks(StripesFor(add_fps, drop_fps), metrics_.stripe_contention);
-    if (Status st = share_index_.ReplaceReferences(add_fps, drop_fps, req.user, &unique_bytes,
-                                                   &dropped_bytes);
+    WriteBatch batch;
+    ShareIndex::ReferenceDelta delta;
+    if (Status st = share_index_.StageReferences(add_fps, drop_fps, req.user,
+                                                 /*skip_unknown_drops=*/true, &batch, &delta);
         !st.ok()) {
       rb.SendError(st);
       return;
     }
-  }
 
-  GenerationRecord rec;
-  rec.generation_id = req.generation_id;
-  rec.file_size = req.file_size;
-  rec.num_secrets = req.recipe.size();
-  rec.recipe_container_id = handle.value().container_id;
-  rec.recipe_index = handle.value().index;
-  // In-place replacement (replace-latest or a same-id repair) carries the
-  // replaced record's attribution forward: shares the old record first-
-  // referenced and the new recipe still holds would otherwise recompute
-  // as ~0 unique, orphaning those bytes from every generation's
-  // accounting and inflating measured dedup ratios. Attribution that left
-  // with erased last references is subtracted (saturating: a dropped
-  // share may have been attributed to an older generation).
-  if (replacing) {
-    uint64_t carried =
-        replaced_unique_bytes > dropped_bytes ? replaced_unique_bytes - dropped_bytes : 0;
-    rec.unique_bytes = carried + unique_bytes;
-  } else {
-    rec.unique_bytes = unique_bytes;
-  }
-  rec.timestamp_ms = req.timestamp_ms;
-
-  bool new_path = false;
-  bool new_generation = false;
-  // Every write stores the request's namespace fields in the path head: the
-  // path_key is this cloud's name share, plus the cross-cloud path id and
-  // the name length.
-  PathNameInfo name;
-  name.name_share = req.path_key;
-  name.path_id = req.path_id;
-  name.name_len = req.path_name_len;
-  if (req.mode == PutFileMode::kPutGeneration ||
-      (req.mode == PutFileMode::kReplaceLatest && replacing)) {
-    // Replace IN PLACE under the existing id (for kReplaceLatest, the
-    // replaced latest's). Reusing the id keeps per-cloud id allocation in
-    // lockstep across partial-failure retries: a cloud that missed the
-    // first attempt allocates the same id the others are rewriting.
-    if (req.mode == PutFileMode::kReplaceLatest) {
-      rec.generation_id = replaced_gen;
+    rec.generation_id = req.generation_id;
+    rec.file_size = req.file_size;
+    rec.num_secrets = req.recipe.size();
+    rec.recipe_container_id = handle.value().container_id;
+    rec.recipe_index = handle.value().index;
+    // In-place replacement (replace-latest or a same-id repair) carries the
+    // replaced record's attribution forward: shares the old record first-
+    // referenced and the new recipe still holds would otherwise recompute
+    // as ~0 unique, orphaning those bytes from every generation's
+    // accounting and inflating measured dedup ratios. Attribution that left
+    // with erased last references is subtracted (saturating: a dropped
+    // share may have been attributed to an older generation).
+    if (replacing) {
+      uint64_t carried = replaced_unique_bytes > delta.orphaned_bytes
+                             ? replaced_unique_bytes - delta.orphaned_bytes
+                             : 0;
+      rec.unique_bytes = carried + delta.first_ref_bytes;
+    } else {
+      rec.unique_bytes = delta.first_ref_bytes;
     }
-    if (Status st = file_index_.PutGeneration(req.user, path_hash, name, rec, &new_path,
-                                              &new_generation);
-        !st.ok()) {
+    rec.timestamp_ms = req.timestamp_ms;
+
+    bool new_path = false;
+    bool new_generation = true;
+    // Every write stores the request's namespace fields in the path head: the
+    // path_key is this cloud's name share, plus the cross-cloud path id and
+    // the name length.
+    PathNameInfo name;
+    name.name_share = req.path_key;
+    name.path_id = req.path_id;
+    name.name_len = req.path_name_len;
+    if (req.mode == PutFileMode::kPutGeneration ||
+        (req.mode == PutFileMode::kReplaceLatest && replacing)) {
+      // Replace IN PLACE under the existing id (for kReplaceLatest, the
+      // replaced latest's). Reusing the id keeps per-cloud id allocation in
+      // lockstep across partial-failure retries: a cloud that missed the
+      // first attempt allocates the same id the others are rewriting.
+      if (req.mode == PutFileMode::kReplaceLatest) {
+        rec.generation_id = replaced_gen;
+      }
+      if (Status st = file_index_.StagePutGeneration(req.user, path_hash, name, rec, &batch,
+                                                     &new_path, &new_generation);
+          !st.ok()) {
+        rb.SendError(st);
+        return;
+      }
+    } else {
+      auto staged =
+          file_index_.StageAppendGeneration(req.user, path_hash, name, rec, &batch, &new_path);
+      if (!staged.ok()) {
+        rb.SendError(staged.status());
+        return;
+      }
+      rec = staged.value();
+    }
+    Counters next = counters_;
+    next.file_count += new_path ? 1 : 0;
+    next.generation_count += new_generation ? 1 : 0;
+    if (Status st = CommitLocked(&batch, next); !st.ok()) {
       rb.SendError(st);
       return;
     }
-  } else {
-    auto stored = file_index_.AppendGeneration(req.user, path_hash, name, rec, &new_path);
-    if (!stored.ok()) {
-      rb.SendError(stored.status());
-      return;
-    }
-    rec = stored.value();
-    new_generation = true;
-  }
-  if (new_path) {
-    ++file_count_;
-  }
-  if (new_generation) {
-    ++generation_count_;
-  }
-  if (Status st = SaveMetaLocked(); !st.ok()) {
-    rb.SendError(st);
-    return;
   }
   PutFileReply reply;
   reply.generation_id = rec.generation_id;
@@ -656,69 +663,75 @@ Result<FileRecipe> CdstoreServer::FetchRecipeBlob(const GenerationRecord& rec) {
   return FileRecipe::Deserialize(blob);
 }
 
-Status CdstoreServer::DropRecipeRefsLocked(const FileRecipe& recipe, UserId user,
-                                           uint32_t* orphaned) {
-  for (const RecipeEntry& e : recipe.entries) {
-    bool orphan = false;
-    MutexLock stripe(stripes_[StripeOf(e.fp)].mu);
-    RETURN_IF_ERROR(share_index_.DropReference(e.fp, user, &orphan));
-    if (orphan) {
-      // Index entry removed; container space reclamation is GC's job
-      // (§4.7, realized in CollectGarbage).
-      ++*orphaned;
-      (void)share_index_.Erase(e.fp);
+Result<bool> CdstoreServer::StagePruneLocked(UserId user, ConstByteSpan path_hash,
+                                             const PruneRule& prune, Deletion* del) {
+  Result<std::vector<GenerationRecord>> all = file_index_.ListGenerations(user, path_hash);
+  if (all.status().code() == StatusCode::kNotFound) {
+    return false;
+  }
+  RETURN_IF_ERROR(all.status());
+  std::vector<GenerationRecord> doomed;
+  std::vector<GenerationRecord> kept;
+  for (size_t i = 0; i < all.value().size(); ++i) {
+    (prune(all.value(), i) ? doomed : kept).push_back(all.value()[i]);
+  }
+  if (doomed.empty()) {
+    return true;
+  }
+  // All or nothing per path: a failed recipe fetch (a cloud that lost the
+  // object) must leave no stray drops for another path's commit to carry.
+  std::vector<Fingerprint> drops;
+  for (const GenerationRecord& rec : doomed) {
+    ASSIGN_OR_RETURN(FileRecipe recipe, FetchRecipeBlob(rec));
+    for (const RecipeEntry& e : recipe.entries) {
+      drops.push_back(e.fp);
     }
   }
-  return Status::Ok();
+  RETURN_IF_ERROR(
+      file_index_.StageDeleteGenerations(user, path_hash, doomed, kept, &del->batch));
+  del->drops.insert(del->drops.end(), drops.begin(), drops.end());
+  del->deleted.insert(del->deleted.end(), doomed.begin(), doomed.end());
+  del->paths_removed += kept.empty() ? 1 : 0;
+  return true;
 }
 
-Status CdstoreServer::DeleteGenerationLocked(UserId user, ConstByteSpan path_hash,
-                                             const GenerationRecord& rec,
-                                             uint32_t* orphaned, bool* path_removed) {
-  ASSIGN_OR_RETURN(FileRecipe recipe, FetchRecipeBlob(rec));
-  RETURN_IF_ERROR(DropRecipeRefsLocked(recipe, user, orphaned));
-  bool removed = false;
-  RETURN_IF_ERROR(
-      file_index_.DeleteGeneration(user, path_hash, rec.generation_id, &removed));
-  if (removed) {
-    --file_count_;
+Status CdstoreServer::CommitDeletionLocked(UserId user, Deletion* del, uint32_t* orphaned) {
+  *orphaned = 0;
+  if (del->deleted.empty()) {
+    return Status::Ok();
   }
-  --generation_count_;
-  if (path_removed != nullptr) {
-    *path_removed = removed;
-  }
+  StripeLockSet stripe_locks(StripesFor({}, del->drops), metrics_.stripe_contention);
+  ShareIndex::ReferenceDelta delta;
+  RETURN_IF_ERROR(share_index_.StageReferences({}, del->drops, user,
+                                               /*skip_unknown_drops=*/false, &del->batch,
+                                               &delta));
+  // Orphaned shares leave the index here; reclaiming their container space
+  // is GC's job (§4.7, realized in CollectGarbage).
+  Counters next = counters_;
+  next.generation_count -= del->deleted.size();
+  next.file_count -= del->paths_removed;
+  RETURN_IF_ERROR(CommitLocked(&del->batch, next));
+  *orphaned = delta.orphaned;
   return Status::Ok();
 }
 
 void CdstoreServer::DeleteFile(const DeleteFileRequest& req, ReplyBuilder& rb) {
   ReaderMutexLock ops(ops_mu_);
   CountUser("cdstore_server_user_requests_total", req.user);
-  Bytes path_hash = Sha256::Hash(req.path_key);
   MutexLock commit(commit_mu_);
-  auto gens = file_index_.ListGenerations(req.user, path_hash);
-  if (!gens.ok()) {
-    // A never-uploaded (or already deleted) path is a clean NotFound, not
-    // an index-internal error.
-    if (gens.status().code() == StatusCode::kNotFound) {
-      rb.SendError(Status::NotFound("file not found"));
-    } else {
-      rb.SendError(gens.status());
-    }
-    return;
-  }
+  Deletion del;
   DeleteFileReply reply;
-  for (const GenerationRecord& rec : gens.value()) {
-    if (Status st = DeleteGenerationLocked(req.user, path_hash, rec, &reply.shares_orphaned);
-        !st.ok()) {
-      rb.SendError(st);
-      return;
-    }
-    ++reply.generations_deleted;
+  Result<bool> found = StagePruneLocked(
+      req.user, Sha256::Hash(req.path_key), [](const auto&, size_t) { return true; }, &del);
+  Status st = found.ok() && !found.value() ? Status::NotFound("file not found") : found.status();
+  if (st.ok()) {
+    st = CommitDeletionLocked(req.user, &del, &reply.shares_orphaned);
   }
-  if (Status st = SaveMetaLocked(); !st.ok()) {
+  if (!st.ok()) {
     rb.SendError(st);
     return;
   }
+  reply.generations_deleted = static_cast<uint32_t>(del.deleted.size());
   rb.Send(reply);
 }
 
@@ -756,90 +769,80 @@ void CdstoreServer::DeleteVersion(const DeleteVersionRequest& req, ReplyBuilder&
     rb.SendError(Status::InvalidArgument("generation id must be nonzero"));
     return;
   }
-  Bytes path_hash = Sha256::Hash(req.path_key);
   MutexLock commit(commit_mu_);
-  auto rec = file_index_.GetGeneration(req.user, path_hash, req.generation_id);
-  if (!rec.ok()) {
-    rb.SendError(rec.status());
-    return;
-  }
+  Deletion del;
   DeleteVersionReply reply;
-  if (Status st = DeleteGenerationLocked(req.user, path_hash, rec.value(),
-                                         &reply.shares_orphaned);
-      !st.ok()) {
-    rb.SendError(st);
-    return;
+  Result<bool> found = StagePruneLocked(
+      req.user, Sha256::Hash(req.path_key),
+      [&](const auto& all, size_t i) { return all[i].generation_id == req.generation_id; },
+      &del);
+  Status st = found.ok() && del.deleted.empty()
+                  ? Status::NotFound("generation " + std::to_string(req.generation_id) +
+                                     " not found")
+                  : found.status();
+  if (st.ok()) {
+    st = CommitDeletionLocked(req.user, &del, &reply.shares_orphaned);
   }
-  if (Status st = SaveMetaLocked(); !st.ok()) {
+  if (!st.ok()) {
     rb.SendError(st);
     return;
   }
   rb.Send(reply);
 }
 
-Status CdstoreServer::ApplyRetentionToPathLocked(UserId user, ConstByteSpan path_hash,
-                                                 const RetentionPolicy& p,
-                                                 ApplyRetentionReply* out,
-                                                 bool* path_removed) {
-  if (path_removed != nullptr) {
-    *path_removed = false;
-  }
-  ASSIGN_OR_RETURN(std::vector<GenerationRecord> all,
-                   file_index_.ListGenerations(user, path_hash));
-  // A generation survives if EITHER keep rule claims it; with no rules set
-  // the request is a no-op. ListGenerations is ascending, so the newest
-  // keep_last_n are the vector's tail.
-  size_t first_kept_by_count =
-      p.keep_last_n == 0 ? all.size()
-                         : all.size() - std::min<size_t>(all.size(), p.keep_last_n);
-  for (size_t i = 0; i < all.size(); ++i) {
-    const GenerationRecord& rec = all[i];
-    bool keep = false;
-    if (p.keep_last_n > 0 && i >= first_kept_by_count) {
-      keep = true;
+namespace {
+
+// The generations `p` prunes from a path's ascending list: a generation
+// survives if EITHER keep rule claims it, and with no rules set nothing is
+// pruned. Shared by the per-path RPC and the namespace sweep, so their
+// prune decisions are identical by construction.
+std::function<bool(const std::vector<GenerationRecord>&, size_t)> RetentionRule(
+    const RetentionPolicy& p) {
+  return [p](const std::vector<GenerationRecord>& all, size_t i) {
+    if (p.keep_last_n == 0 && p.keep_within_ms == 0) {
+      return false;
+    }
+    // The newest keep_last_n are the list's tail.
+    if (p.keep_last_n > 0 && all.size() - i <= p.keep_last_n) {
+      return false;
     }
     // Overflow-safe age test: timestamp + window could wrap for sentinel
     // windows like UINT64_MAX ("keep everything"), silently inverting the
     // rule into prune-everything.
-    if (p.keep_within_ms > 0 && (rec.timestamp_ms >= p.now_ms ||
-                                 p.now_ms - rec.timestamp_ms <= p.keep_within_ms)) {
-      keep = true;
-    }
-    if (p.keep_last_n == 0 && p.keep_within_ms == 0) {
-      keep = true;  // no rules: prune nothing
-    }
-    if (keep) {
-      continue;
-    }
-    bool removed = false;
-    RETURN_IF_ERROR(
-        DeleteGenerationLocked(user, path_hash, rec, &out->shares_orphaned, &removed));
-    ++out->generations_deleted;
-    out->logical_bytes_deleted += rec.file_size;
-    out->deleted_generations.push_back(rec.generation_id);
-    if (removed && path_removed != nullptr) {
-      *path_removed = true;
-    }
-  }
-  return Status::Ok();
+    const uint64_t ts = all[i].timestamp_ms;
+    return !(p.keep_within_ms > 0 && (ts >= p.now_ms || p.now_ms - ts <= p.keep_within_ms));
+  };
 }
+
+// Adds the generations deleted[from..] to a retention reply.
+void TallyPruned(const std::vector<GenerationRecord>& deleted, size_t from,
+                 ApplyRetentionReply* out) {
+  for (size_t i = from; i < deleted.size(); ++i) {
+    ++out->generations_deleted;
+    out->logical_bytes_deleted += deleted[i].file_size;
+    out->deleted_generations.push_back(deleted[i].generation_id);
+  }
+}
+
+}  // namespace
 
 void CdstoreServer::ApplyRetention(const ApplyRetentionRequest& req, ReplyBuilder& rb) {
   ApplyRetentionReply reply;
   {
     ReaderMutexLock ops(ops_mu_);
     MutexLock commit(commit_mu_);
-    Status st = ApplyRetentionToPathLocked(req.user, Sha256::Hash(req.path_key), req.policy,
-                                           &reply, /*path_removed=*/nullptr);
-    if (!st.ok()) {
-      rb.SendError(st.code() == StatusCode::kNotFound ? Status::NotFound("file not found")
-                                                      : st);
+    Deletion del;
+    Result<bool> found =
+        StagePruneLocked(req.user, Sha256::Hash(req.path_key), RetentionRule(req.policy), &del);
+    if (!found.ok() || !found.value()) {
+      rb.SendError(found.ok() ? Status::NotFound("file not found") : found.status());
       return;
     }
-    if (st = SaveMetaLocked(); !st.ok()) {
+    if (Status st = CommitDeletionLocked(req.user, &del, &reply.shares_orphaned); !st.ok()) {
       rb.SendError(st);
       return;
     }
+    TallyPruned(del.deleted, 0, &reply);
   }
   MaybeAutoSnapshot(reply.generations_deleted > 0);
   rb.Send(reply);
@@ -905,39 +908,41 @@ void CdstoreServer::ApplyRetentionNamespace(const ApplyRetentionNamespaceRequest
         return;
       }
       ++reply.pages;
-      uint64_t page_deleted = 0;
+      // The whole page commits as one write: its paths' records and heads,
+      // one net reference drop over all of them, and the counters.
+      Deletion del;
       for (const PathScanEntry& e : page.value().entries) {
-        ApplyRetentionReply per;
-        bool removed = false;
-        Status st =
-            ApplyRetentionToPathLocked(req.user, e.path_hash, req.policy, &per, &removed);
-        if (!st.ok() && st.code() != StatusCode::kNotFound) {
-          rb.SendError(st);
+        size_t first = del.deleted.size();
+        uint64_t paths_removed = del.paths_removed;
+        // A path gone since the scan is skipped; any other failure, a lost
+        // recipe object included, fails the sweep before this page commits.
+        Result<bool> found =
+            StagePruneLocked(req.user, e.path_hash, RetentionRule(req.policy), &del);
+        if (!found.ok()) {
+          rb.SendError(found.status());
           return;
         }
         ++reply.paths_swept;
+        ApplyRetentionReply per;
+        TallyPruned(del.deleted, first, &per);
         reply.generations_deleted += per.generations_deleted;
-        reply.shares_orphaned += per.shares_orphaned;
         reply.logical_bytes_deleted += per.logical_bytes_deleted;
-        page_deleted += per.generations_deleted;
-        if (removed) {
-          ++reply.paths_removed;
-        }
         if (per.generations_deleted > 0) {
           PathRetentionResult r;
           r.path_id = e.head.path_id;
           r.generations_deleted = per.generations_deleted;
           r.logical_bytes_deleted = per.logical_bytes_deleted;
-          r.path_removed = removed ? 1 : 0;
+          r.path_removed = del.paths_removed > paths_removed ? 1 : 0;
+          reply.paths_removed += r.path_removed;
           reply.per_path.push_back(std::move(r));
         }
       }
-      if (page_deleted > 0) {
-        if (Status st = SaveMetaLocked(); !st.ok()) {
-          rb.SendError(st);
-          return;
-        }
+      uint32_t orphaned = 0;
+      if (Status st = CommitDeletionLocked(req.user, &del, &orphaned); !st.ok()) {
+        rb.SendError(st);
+        return;
       }
+      reply.shares_orphaned += orphaned;
       cursor = page.value().next_cursor;
       if (cursor.empty()) {
         break;
@@ -962,9 +967,9 @@ void CdstoreServer::Stats(const StatsRequest& req, ReplyBuilder& rb) {
   reply.unique_shares = unique.value();
   {
     MutexLock commit(commit_mu_);
-    reply.stored_bytes = physical_share_bytes_;
-    reply.file_count = file_count_;
-    reply.generation_count = generation_count_;
+    reply.stored_bytes = counters_.physical_share_bytes;
+    reply.file_count = counters_.file_count;
+    reply.generation_count = counters_.generation_count;
   }
   reply.container_count = share_store_.sealed_container_count();
   rb.Send(reply);
@@ -1015,13 +1020,16 @@ Result<GcReply> CdstoreServer::CollectGarbage() {
     if (live_count == reader.count()) {
       continue;  // fully live: nothing to reclaim
     }
-    // Rewrite the live shares into fresh containers, update the index,
-    // delete the old container.
+    // Rewrite the live shares into fresh containers, seal them, commit the
+    // moves as one index write, and only then delete the old container: a
+    // failure (or crash) anywhere before the commit leaves the index naming
+    // the old container, which is still at the backend.
     uint64_t dead_bytes = 0;
     for (uint32_t b = 0; b < reader.count(); ++b) {
       ASSIGN_OR_RETURN(ConstByteSpan blob, reader.Blob(b));
       dead_bytes += blob.size();
     }
+    WriteBatch batch;
     if (it != live.end()) {
       for (const LiveShare& share : it->second) {
         ASSIGN_OR_RETURN(ConstByteSpan blob, reader.Blob(share.index));
@@ -1031,18 +1039,21 @@ Result<GcReply> CdstoreServer::CollectGarbage() {
         loc.container_id = handle.container_id;
         loc.index_in_container = handle.index;
         loc.share_size = share.size;
-        RETURN_IF_ERROR(share_index_.UpdateLocation(share.fp, loc));
+        RETURN_IF_ERROR(share_index_.StageLocation(share.fp, loc, &batch));
         ++stats.live_shares_moved;
       }
     }
     RETURN_IF_ERROR(share_store_.FlushUser(0));
+    {
+      MutexLock commit(commit_mu_);
+      Counters next = counters_;
+      next.physical_share_bytes -= std::min(next.physical_share_bytes, dead_bytes);
+      RETURN_IF_ERROR(CommitLocked(&batch, next));
+    }
     RETURN_IF_ERROR(share_store_.DeleteContainer(container_id));
     ++stats.containers_rewritten;
     stats.bytes_reclaimed += dead_bytes;
   }
-  MutexLock commit(commit_mu_);
-  physical_share_bytes_ -= std::min(physical_share_bytes_, stats.bytes_reclaimed);
-  RETURN_IF_ERROR(SaveMetaLocked());
   return stats;
 }
 
@@ -1174,7 +1185,7 @@ Status CdstoreServer::RestoreIndexSnapshot(const std::string& object_name) {
 
 uint64_t CdstoreServer::physical_share_bytes() const {
   MutexLock commit(commit_mu_);
-  return physical_share_bytes_;
+  return counters_.physical_share_bytes;
 }
 
 uint64_t CdstoreServer::unique_share_count() const {

@@ -10,13 +10,16 @@
 // parallel, and share hashing, the dominant handler cost, runs outside
 // every lock. FpQuery and GetShares take no stripe lock: each of their
 // index reads is one Db::Get, atomic per key, and a user's answer depends
-// only on that user's own reference count. A narrow commit lock covers
-// only file-index/recipe updates and the persisted counters; maintenance
-// operations (flush, GC, snapshots) take the operations lock exclusively
-// and see a quiesced server.
+// only on that user's own reference count. Each RPC that changes the index
+// stages its share-index, file-index and counter changes into one
+// WriteBatch and commits it with one Db::Write under a narrow commit lock,
+// so a failed or interrupted RPC leaves no part of its change behind;
+// maintenance operations (flush, GC, snapshots) take the operations lock
+// exclusively and see a quiesced server.
 #ifndef CDSTORE_SRC_CORE_SERVER_H_
 #define CDSTORE_SRC_CORE_SERVER_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -191,28 +194,42 @@ class CdstoreServer : public ServerService {
   std::vector<Mutex*> StripesFor(const std::vector<Fingerprint>& add,
                                  const std::vector<Fingerprint>& drop);
 
+  // The counters the meta record persists (with the container id sequences).
+  struct Counters {
+    uint64_t physical_share_bytes = 0;
+    uint64_t file_count = 0;
+    uint64_t generation_count = 0;  // all users
+  };
+
   Status LoadMeta();
-  Status SaveMetaLocked() REQUIRES(commit_mu_);
+  // The one commit point of every index change: stages the meta record for
+  // `next` into `batch`, writes it with one Db::Write, and only then
+  // publishes `next` as the live counters.
+  Status CommitLocked(WriteBatch* batch, const Counters& next) REQUIRES(commit_mu_);
   // Fetches + parses the recipe blob a generation record points at.
   Result<FileRecipe> FetchRecipeBlob(const GenerationRecord& rec);
-  // Drops one reference per recipe entry for `user` (stripe-locked per
-  // entry), erasing entries that lose their last reference; *orphaned
-  // accumulates.
-  Status DropRecipeRefsLocked(const FileRecipe& recipe, UserId user, uint32_t* orphaned)
+
+  // What one deleting RPC (or one ApplyRetentionNamespace page) removes,
+  // staged path by path and committed once by CommitDeletionLocked.
+  struct Deletion {
+    WriteBatch batch;                // file-index records and heads
+    std::vector<Fingerprint> drops;  // every deleted recipe's entries
+    std::vector<GenerationRecord> deleted;
+    uint64_t paths_removed = 0;
+  };
+  // Selects generation i of a path's ascending generation list `all`.
+  using PruneRule = std::function<bool(const std::vector<GenerationRecord>& all, size_t i)>;
+  // Stages into `del` the removal of the generations of one path (by head
+  // hash) that `prune` selects, fetching their recipes. False (nothing
+  // staged) for an unknown path; on an error nothing is staged either.
+  Result<bool> StagePruneLocked(UserId user, ConstByteSpan path_hash, const PruneRule& prune,
+                                Deletion* del) REQUIRES(commit_mu_);
+  // Stages one net reference drop over every staged generation, and
+  // commits it all with one write under the stripes of every dropped
+  // fingerprint. *orphaned receives the shares that lost their last
+  // reference.
+  Status CommitDeletionLocked(UserId user, Deletion* del, uint32_t* orphaned)
       REQUIRES(commit_mu_);
-  // Deletes one generation end to end (refs + index record), addressed by
-  // the path-head hash. Adjusts file_count_ / generation_count_;
-  // *path_removed (optional) reports a dropped head.
-  Status DeleteGenerationLocked(UserId user, ConstByteSpan path_hash,
-                                const GenerationRecord& rec, uint32_t* orphaned,
-                                bool* path_removed = nullptr) REQUIRES(commit_mu_);
-  // The shared retention core: prunes one path (by head hash) under
-  // `policy`, accumulating into `out`. Both the per-path RPC and the
-  // namespace sweep delegate here, so their prune decisions are identical
-  // by construction.
-  Status ApplyRetentionToPathLocked(UserId user, ConstByteSpan path_hash,
-                                    const RetentionPolicy& policy, ApplyRetentionReply* out,
-                                    bool* path_removed) REQUIRES(commit_mu_);
   // Writes an automatic index snapshot and prunes old automatic snapshot
   // objects to snapshot_keep_last. Takes ops_mu_ exclusive internally —
   // call only with no locks held (handlers call it after releasing their
@@ -231,9 +248,13 @@ class CdstoreServer : public ServerService {
 
   // Lock order (outer to inner): ops_mu_ -> commit_mu_ -> stripe mutexes
   // (ascending). Handlers never acquire commit_mu_ while holding a stripe;
-  // FpQuery and GetShares hold ops_mu_ shared and nothing else.
+  // FpQuery and GetShares hold ops_mu_ shared and nothing else. Every index
+  // change commits through CommitLocked under commit_mu_, UploadShares'
+  // share inserts included; a handler that changes reference counts holds
+  // the stripes of every touched fingerprint from its index reads across
+  // that one write.
   mutable SharedMutex ops_mu_;  // shared: RPCs; exclusive: maintenance
-  mutable Mutex commit_mu_;     // file index, recipe store, counters, meta
+  mutable Mutex commit_mu_;     // index commits, file-index reads, counters
   // ShareStripe is immovable (mutex + condvar), so the runtime-sized
   // stripe table lives behind a unique_ptr array.
   size_t stripe_count_;
@@ -264,9 +285,7 @@ class CdstoreServer : public ServerService {
   FileIndex file_index_;
   ContainerStore share_store_;
   ContainerStore recipe_store_;
-  uint64_t physical_share_bytes_ GUARDED_BY(commit_mu_) = 0;
-  uint64_t file_count_ GUARDED_BY(commit_mu_) = 0;
-  uint64_t generation_count_ GUARDED_BY(commit_mu_) = 0;  // all users
+  Counters counters_ GUARDED_BY(commit_mu_);
 };
 
 }  // namespace cdstore

@@ -125,14 +125,12 @@ Result<std::optional<PathHead>> FileIndex::GetHead(UserId user, ConstByteSpan pa
   return std::optional<PathHead>(head);
 }
 
-Result<GenerationRecord> FileIndex::AppendGeneration(UserId user, ConstByteSpan path_hash,
-                                                     const PathNameInfo& name,
-                                                     const GenerationRecord& rec,
-                                                     bool* new_path) {
+Result<GenerationRecord> FileIndex::StageAppendGeneration(UserId user, ConstByteSpan path_hash,
+                                                          const PathNameInfo& name,
+                                                          const GenerationRecord& rec,
+                                                          WriteBatch* batch, bool* new_path) {
   ASSIGN_OR_RETURN(std::optional<PathHead> maybe_head, GetHead(user, path_hash));
-  if (new_path != nullptr) {
-    *new_path = !maybe_head.has_value();
-  }
+  *new_path = !maybe_head.has_value();
   PathHead head = maybe_head.value_or(PathHead{});
   SetName(&head, name);
   GenerationRecord stored = rec;
@@ -140,45 +138,62 @@ Result<GenerationRecord> FileIndex::AppendGeneration(UserId user, ConstByteSpan 
   head.next_generation = stored.generation_id + 1;
   head.latest_generation = std::max(head.latest_generation, stored.generation_id);
   head.generation_count += 1;
-  WriteBatch batch;
-  batch.Put(GenKeyForHash(user, path_hash, stored.generation_id), stored.Serialize());
-  batch.Put(HeadKeyForHash(user, path_hash), head.Serialize());
-  RETURN_IF_ERROR(db_->Write(batch));
+  batch->Put(GenKeyForHash(user, path_hash, stored.generation_id), stored.Serialize());
+  batch->Put(HeadKeyForHash(user, path_hash), head.Serialize());
   return stored;
 }
 
-Status FileIndex::PutGeneration(UserId user, ConstByteSpan path_hash, const PathNameInfo& name,
-                                const GenerationRecord& rec, bool* new_path,
-                                bool* new_generation) {
+Status FileIndex::StagePutGeneration(UserId user, ConstByteSpan path_hash,
+                                     const PathNameInfo& name, const GenerationRecord& rec,
+                                     WriteBatch* batch, bool* new_path, bool* new_generation) {
   if (rec.generation_id == 0) {
     return Status::InvalidArgument("generation id must be nonzero");
   }
   ASSIGN_OR_RETURN(std::optional<PathHead> maybe_head, GetHead(user, path_hash));
-  if (new_path != nullptr) {
-    *new_path = !maybe_head.has_value();
-  }
+  *new_path = !maybe_head.has_value();
   PathHead head = maybe_head.value_or(PathHead{});
   SetName(&head, name);
   Bytes gen_key = GenKeyForHash(user, path_hash, rec.generation_id);
   Bytes existing;
   Status probe = db_->Get(gen_key, &existing);
-  if (probe.code() == StatusCode::kNotFound) {
-    head.generation_count += 1;
-    if (new_generation != nullptr) {
-      *new_generation = true;
-    }
-  } else {
+  if (probe.code() != StatusCode::kNotFound) {
     RETURN_IF_ERROR(probe);
-    if (new_generation != nullptr) {
-      *new_generation = false;
-    }
   }
+  *new_generation = !probe.ok();
+  head.generation_count += *new_generation ? 1 : 0;
   head.latest_generation = std::max(head.latest_generation, rec.generation_id);
   head.next_generation = std::max(head.next_generation, rec.generation_id + 1);
-  WriteBatch batch;
-  batch.Put(gen_key, rec.Serialize());
-  batch.Put(HeadKeyForHash(user, path_hash), head.Serialize());
-  return db_->Write(batch);
+  batch->Put(gen_key, rec.Serialize());
+  batch->Put(HeadKeyForHash(user, path_hash), head.Serialize());
+  return Status::Ok();
+}
+
+Status FileIndex::StageDeleteGenerations(UserId user, ConstByteSpan path_hash,
+                                         const std::vector<GenerationRecord>& doomed,
+                                         const std::vector<GenerationRecord>& kept,
+                                         WriteBatch* batch) {
+  // The record deletes and the head update share the caller's one commit:
+  // a crash between separate writes would leave the head naming a deleted
+  // generation (restore-latest would fail until repaired by hand). The
+  // head is read before anything is staged, so a failure stages nothing.
+  std::optional<PathHead> head;
+  if (!kept.empty()) {
+    ASSIGN_OR_RETURN(head, GetHead(user, path_hash));
+    if (!head.has_value()) {
+      return Status::NotFound("file not found");
+    }
+    head->generation_count = kept.size();
+    head->latest_generation = kept.back().generation_id;  // ascending
+  }
+  for (const GenerationRecord& rec : doomed) {
+    batch->Delete(GenKeyForHash(user, path_hash, rec.generation_id));
+  }
+  if (head.has_value()) {
+    batch->Put(HeadKeyForHash(user, path_hash), head->Serialize());
+  } else {
+    batch->Delete(HeadKeyForHash(user, path_hash));
+  }
+  return Status::Ok();
 }
 
 Result<GenerationRecord> FileIndex::GetGeneration(UserId user, ConstByteSpan path_hash,
@@ -221,53 +236,6 @@ Result<std::vector<GenerationRecord>> FileIndex::ListGenerations(UserId user,
   }
   RETURN_IF_ERROR(it->status());
   return out;
-}
-
-Status FileIndex::DeleteGeneration(UserId user, ConstByteSpan path_hash, uint64_t generation,
-                                   bool* path_removed) {
-  if (path_removed != nullptr) {
-    *path_removed = false;
-  }
-  ASSIGN_OR_RETURN(std::optional<PathHead> maybe_head, GetHead(user, path_hash));
-  if (!maybe_head.has_value()) {
-    return Status::NotFound("file not found");
-  }
-  PathHead head = *maybe_head;
-  Bytes gen_key = GenKeyForHash(user, path_hash, generation);
-  Bytes existing;
-  Status probe = db_->Get(gen_key, &existing);
-  if (probe.code() == StatusCode::kNotFound) {
-    return Status::NotFound("generation " + std::to_string(generation) + " not found");
-  }
-  RETURN_IF_ERROR(probe);
-  // One atomic batch for the record delete AND the head update: a crash
-  // between separate writes would leave the head naming a deleted
-  // generation (restore-latest would fail until repaired by hand).
-  WriteBatch batch;
-  batch.Delete(gen_key);
-  head.generation_count -= 1;
-  if (head.generation_count == 0) {
-    if (path_removed != nullptr) {
-      *path_removed = true;
-    }
-    batch.Delete(HeadKeyForHash(user, path_hash));
-    return db_->Write(batch);
-  }
-  if (head.latest_generation == generation) {
-    // Deleted the newest: the new latest is the max surviving id (the
-    // record still exists until the batch commits, so exclude it).
-    ASSIGN_OR_RETURN(std::vector<GenerationRecord> gens,
-                     ListGenerations(user, path_hash));
-    uint64_t new_latest = 0;
-    for (const GenerationRecord& g : gens) {
-      if (g.generation_id != generation) {
-        new_latest = std::max(new_latest, g.generation_id);
-      }
-    }
-    head.latest_generation = new_latest;
-  }
-  batch.Put(HeadKeyForHash(user, path_hash), head.Serialize());
-  return db_->Write(batch);
 }
 
 Result<PathScanPage> FileIndex::ScanPaths(UserId user, ConstByteSpan cursor, size_t limit) {

@@ -31,7 +31,7 @@ namespace cdstore {
 
 // One backup generation of a path.
 struct GenerationRecord {
-  uint64_t generation_id = 0;  // allocated by AppendGeneration, never reused
+  uint64_t generation_id = 0;  // allocated by StageAppendGeneration, never reused
   uint64_t file_size = 0;      // logical bytes of this generation
   uint64_t num_secrets = 0;
   uint64_t recipe_container_id = 0;
@@ -104,21 +104,36 @@ class FileIndex {
   // share this server received (§4.3 disperses sensitive metadata via
   // secret sharing).
 
-  // Appends a new generation (allocates the next id from the path head).
-  // `rec.generation_id` is ignored on input; the stored record (with its
-  // id) is returned. *new_path is set when this created the path. The head
-  // takes its namespace fields from `name`.
-  Result<GenerationRecord> AppendGeneration(UserId user, ConstByteSpan path_hash,
-                                            const PathNameInfo& name,
-                                            const GenerationRecord& rec, bool* new_path);
+  // The writers below stage into the caller's `batch` and write nothing:
+  // the server commits a whole RPC's index change, reference counts and
+  // counters included, as one Db::Write. Each reads the committed path
+  // head, so one batch may stage at most one of them per path.
 
-  // Writes generation `rec.generation_id` exactly (repair: ids must stay
+  // Stages a new generation (allocates the next id from the path head).
+  // `rec.generation_id` is ignored on input; the staged record (with its
+  // id) is returned. *new_path is set when this creates the path. The head
+  // takes its namespace fields from `name`.
+  Result<GenerationRecord> StageAppendGeneration(UserId user, ConstByteSpan path_hash,
+                                                 const PathNameInfo& name,
+                                                 const GenerationRecord& rec, WriteBatch* batch,
+                                                 bool* new_path);
+
+  // Stages generation `rec.generation_id` exactly (repair: ids must stay
   // in lockstep across clouds). Overwrites a same-id record in place;
   // *new_path as above, *new_generation is set when the id did not exist
   // yet. next_generation advances past the written id.
-  Status PutGeneration(UserId user, ConstByteSpan path_hash, const PathNameInfo& name,
-                       const GenerationRecord& rec, bool* new_path,
-                       bool* new_generation = nullptr);
+  Status StagePutGeneration(UserId user, ConstByteSpan path_hash, const PathNameInfo& name,
+                            const GenerationRecord& rec, WriteBatch* batch, bool* new_path,
+                            bool* new_generation);
+
+  // Stages the removal of the records `doomed` of one path, whose
+  // surviving generations are `kept`: the head's count and latest id are
+  // computed from `kept`, so one call covers any number of generations.
+  // With nothing kept the head goes too. Both lists are ascending, as
+  // ListGenerations returns them. On failure nothing is staged.
+  Status StageDeleteGenerations(UserId user, ConstByteSpan path_hash,
+                                const std::vector<GenerationRecord>& doomed,
+                                const std::vector<GenerationRecord>& kept, WriteBatch* batch);
 
   // Fetches one generation; generation == 0 resolves the latest.
   Result<GenerationRecord> GetGeneration(UserId user, ConstByteSpan path_hash,
@@ -126,11 +141,6 @@ class FileIndex {
 
   // All generations of a path, ascending by id. NotFound for unknown paths.
   Result<std::vector<GenerationRecord>> ListGenerations(UserId user, ConstByteSpan path_hash);
-
-  // Removes one generation; *path_removed is set when it was the last one
-  // (the head is dropped with it).
-  Status DeleteGeneration(UserId user, ConstByteSpan path_hash, uint64_t generation,
-                          bool* path_removed);
 
   // One page of the user's path heads, in H(path_key) order, starting
   // strictly after `cursor` (empty = from the beginning), at most `limit`

@@ -95,45 +95,30 @@ Result<std::optional<ShareLocation>> ShareIndex::Lookup(const Fingerprint& fp,
   return std::optional<ShareLocation>(entry->location);
 }
 
-Status ShareIndex::Insert(const Fingerprint& fp, const ShareLocation& location) {
-  Bytes key = KeyFor(fp);
-  Bytes existing;
-  if (db_->Get(key, &existing).ok()) {
-    return Status::AlreadyExists("share already indexed");
+void ShareIndex::StageInserts(
+    const std::vector<std::pair<Fingerprint, ShareLocation>>& entries, WriteBatch* batch) {
+  for (const auto& [fp, location] : entries) {
+    ShareIndexEntry entry;
+    entry.location = location;
+    batch->Put(KeyFor(fp), entry.Serialize());
+    // Bloom add precedes the commit: a reader must never find the key in
+    // the LSM while the bloom still denies it. (A failed commit leaves a
+    // harmless stale bloom positive.)
+    if (accel_ != nullptr) {
+      accel_->NoteInsert(fp);
+    }
   }
-  ShareIndexEntry entry;
-  entry.location = location;
-  // Bloom add precedes the commit: a reader must never find the key in the
-  // LSM while the bloom still denies it. (A failed Put leaves a harmless
-  // stale bloom positive.)
-  if (accel_ != nullptr) {
-    accel_->NoteInsert(fp);
-  }
-  return db_->Put(key, entry.Serialize());
 }
 
 Status ShareIndex::InsertBatch(
     const std::vector<std::pair<Fingerprint, ShareLocation>>& entries) {
-  if (entries.empty()) {
-    return Status::Ok();
-  }
   WriteBatch batch;
-  for (const auto& [fp, location] : entries) {
-    ShareIndexEntry entry;
-    entry.location = location;
-    batch.Put(KeyFor(fp), entry.Serialize());
-    if (accel_ != nullptr) {
-      accel_->NoteInsert(fp);  // before the commit — see Insert()
-    }
-  }
+  StageInserts(entries, &batch);
   return db_->Write(batch);
 }
 
 Status ShareIndex::PutEntries(
     const std::vector<std::pair<Fingerprint, ShareIndexEntry>>& entries) {
-  if (entries.empty()) {
-    return Status::Ok();
-  }
   WriteBatch batch;
   for (const auto& [fp, entry] : entries) {
     batch.Put(KeyFor(fp), entry.Serialize());
@@ -144,40 +129,46 @@ Status ShareIndex::PutEntries(
   return db_->Write(batch);
 }
 
-Status ShareIndex::ReplaceReferences(const std::vector<Fingerprint>& add,
-                                     const std::vector<Fingerprint>& drop, UserId user,
-                                     uint64_t* first_ref_bytes,
-                                     uint64_t* dropped_last_ref_bytes) {
+Status ShareIndex::StageReferences(const std::vector<Fingerprint>& add,
+                                   const std::vector<Fingerprint>& drop, UserId user,
+                                   bool skip_unknown_drops, WriteBatch* batch,
+                                   ReferenceDelta* delta) {
   // Net reference delta per distinct fingerprint.
-  std::unordered_map<Fingerprint, int64_t, FingerprintHash> delta;
+  std::unordered_map<Fingerprint, int64_t, FingerprintHash> net;
   for (const Fingerprint& fp : add) {
-    ++delta[fp];
+    ++net[fp];
   }
   for (const Fingerprint& fp : drop) {
-    --delta[fp];
+    --net[fp];
   }
   std::unordered_set<Fingerprint, FingerprintHash> added(add.begin(), add.end());
 
-  uint64_t unique_bytes = 0;
-  uint64_t dropped_bytes = 0;
-  WriteBatch batch;
-  for (const auto& [fp, d] : delta) {
+  *delta = ReferenceDelta{};
+  for (const auto& [fp, d] : net) {
     Result<ShareIndexEntry> read = ReadEntry(fp, nullptr);
     if (read.status().code() == StatusCode::kNotFound) {
       if (added.count(fp) > 0) {
         return Status::FailedPrecondition("recipe references unknown share " +
                                           FingerprintAbbrev(fp));
       }
-      continue;  // stale fingerprint from the replaced file: nothing to drop
+      if (skip_unknown_drops) {
+        continue;  // stale fingerprint from the replaced file: nothing to drop
+      }
+      return Status::FailedPrecondition("user holds no reference to share " +
+                                        FingerprintAbbrev(fp));
     }
     RETURN_IF_ERROR(read.status());
     ShareIndexEntry entry = std::move(read).value();
     if (entry.owners.empty() && added.count(fp) > 0) {
       // First reference ever (the share was stored by UploadShares but not
       // yet claimed by any generation): this file's unique contribution.
-      unique_bytes += entry.location.share_size;
+      delta->first_ref_bytes += entry.location.share_size;
     }
     int64_t refs = static_cast<int64_t>(entry.owners[user]) + d;
+    if (refs < 0) {
+      return Status::FailedPrecondition("user holds fewer references than dropped to share " +
+                                        FingerprintAbbrev(fp));
+    }
     if (refs > 0) {
       entry.owners[user] = static_cast<uint32_t>(refs);
     } else {
@@ -185,56 +176,24 @@ Status ShareIndex::ReplaceReferences(const std::vector<Fingerprint>& add,
     }
     if (entry.owners.empty() && added.count(fp) == 0) {
       // A drop took the last reference: erase the entry so GC sees the
-      // share as dead — the same orphan handling the DeleteFile path
-      // applies via Erase(). Entries named by `add` are never erased: the
-      // new recipe references them.
-      dropped_bytes += entry.location.share_size;
-      batch.Delete(KeyFor(fp));
+      // share as dead (the bloom keeps a stale positive). Entries named by
+      // `add` are never erased: the new recipe references them.
+      ++delta->orphaned;
+      delta->orphaned_bytes += entry.location.share_size;
+      batch->Delete(KeyFor(fp));
     } else {
-      batch.Put(KeyFor(fp), entry.Serialize());
+      batch->Put(KeyFor(fp), entry.Serialize());
     }
-  }
-  RETURN_IF_ERROR(db_->Write(batch));
-  if (first_ref_bytes != nullptr) {
-    *first_ref_bytes = unique_bytes;
-  }
-  if (dropped_last_ref_bytes != nullptr) {
-    *dropped_last_ref_bytes = dropped_bytes;
   }
   return Status::Ok();
 }
 
-Status ShareIndex::AddReference(const Fingerprint& fp, UserId user) {
-  ASSIGN_OR_RETURN(ShareIndexEntry entry, ReadEntry(fp, nullptr));
-  entry.owners[user] += 1;
-  return db_->Put(KeyFor(fp), entry.Serialize());
-}
-
-Status ShareIndex::DropReference(const Fingerprint& fp, UserId user, bool* orphaned) {
-  *orphaned = false;
-  ASSIGN_OR_RETURN(ShareIndexEntry entry, ReadEntry(fp, nullptr));
-  auto it = entry.owners.find(user);
-  if (it == entry.owners.end() || it->second == 0) {
-    return Status::FailedPrecondition("user holds no reference");
-  }
-  if (--it->second == 0) {
-    entry.owners.erase(it);
-  }
-  if (entry.owners.empty()) {
-    *orphaned = true;
-  }
-  return db_->Put(KeyFor(fp), entry.Serialize());
-}
-
-Status ShareIndex::Erase(const Fingerprint& fp) {
-  // The bloom keeps a stale positive (filters never forget).
-  return db_->Delete(KeyFor(fp));
-}
-
-Status ShareIndex::UpdateLocation(const Fingerprint& fp, const ShareLocation& location) {
+Status ShareIndex::StageLocation(const Fingerprint& fp, const ShareLocation& location,
+                                 WriteBatch* batch) {
   ASSIGN_OR_RETURN(ShareIndexEntry entry, ReadEntry(fp, nullptr));
   entry.location = location;
-  return db_->Put(KeyFor(fp), entry.Serialize());
+  batch->Put(KeyFor(fp), entry.Serialize());
+  return Status::Ok();
 }
 
 Status ShareIndex::ForEach(

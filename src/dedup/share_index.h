@@ -73,52 +73,51 @@ class ShareIndex {
   Result<std::optional<ShareLocation>> Lookup(const Fingerprint& fp,
                                               AccelOutcome* outcome = nullptr);
 
-  // Records a newly stored unique share. Fails with kAlreadyExists if the
-  // fingerprint is already present.
-  Status Insert(const Fingerprint& fp, const ShareLocation& location);
+  // Stages entries for newly stored shares (no owners yet) into `batch`,
+  // adding each fingerprint to the accel's bloom before the caller commits.
+  // Precondition: none of the fingerprints is indexed (the server checks
+  // under its claim); no per-entry existence probe is repeated here.
+  void StageInserts(const std::vector<std::pair<Fingerprint, ShareLocation>>& entries,
+                    WriteBatch* batch);
 
-  // Records a batch of newly stored shares as one atomic write (a single
-  // WAL record). Precondition: the caller has verified none of the
-  // fingerprints are present (the server checks under its own lock); no
-  // per-entry existence probe is repeated here.
+  // StageInserts committed as one atomic write (a single WAL record).
   Status InsertBatch(const std::vector<std::pair<Fingerprint, ShareLocation>>& entries);
 
-  // Adds one reference from `user` (called per recipe entry at file
-  // finalization, covering deduplicated shares too).
-  Status AddReference(const Fingerprint& fp, UserId user);
-
-  // File-finalization fast path: verifies every fingerprint in `add` is
-  // indexed, then atomically applies one reference add per `add` entry and
-  // one drop per `drop` entry (the replaced file's old recipe, possibly
-  // empty) for `user`. One read and one batched write per distinct
-  // fingerprint instead of two reads and an individual write per recipe
-  // entry. Unknown `drop` fingerprints are skipped, matching the lenient
-  // per-entry drop during file replacement; verification failure leaves the
-  // index untouched.
+  // Stages into `batch` the net reference change of one RPC for `user`:
+  // one add per `add` entry (a new recipe) and one drop per `drop` entry
+  // (the recipes of every generation the RPC replaces or deletes). One read
+  // and one staged op per distinct fingerprint; an entry whose last
+  // reference goes is erased, so GC sees its share as dead. Entries named
+  // by `add` are never erased.
   //
-  // When `first_ref_bytes` is non-null it receives the total share bytes of
-  // the distinct `add` fingerprints that had NO owner (any user) before
-  // this call — the exact "unique bytes" a new backup generation
-  // contributes, counted from the pre-call state so add/drop overlap never
-  // inflates it. When `dropped_last_ref_bytes` is non-null it receives the
-  // share bytes of entries this call erased because a drop took their last
-  // reference (the replaced generation's attribution leaving the system).
-  // The caller must hold the stripes of every touched fingerprint for the
-  // counts to be exact under concurrency.
-  Status ReplaceReferences(const std::vector<Fingerprint>& add,
-                           const std::vector<Fingerprint>& drop, UserId user,
-                           uint64_t* first_ref_bytes = nullptr,
-                           uint64_t* dropped_last_ref_bytes = nullptr);
+  // Fails with kFailedPrecondition when an `add` fingerprint is not
+  // indexed or a drop would take `user` below the references it holds; the
+  // caller then discards `batch`, which may hold part of the delta. A
+  // `drop` fingerprint that is not indexed at all is skipped when
+  // `skip_unknown_drops` is set (the lenient replace path of PutFile) and
+  // is such a failure otherwise.
+  //
+  // The caller must hold the stripes of every touched fingerprint until
+  // `batch` commits: the staged values are computed from what the index
+  // held when this was called.
+  struct ReferenceDelta {
+    // Share bytes of the distinct `add` fingerprints that had no owner
+    // (any user) before: the unique bytes a new backup generation
+    // contributes, counted from the pre-call state so add/drop overlap
+    // never inflates it.
+    uint64_t first_ref_bytes = 0;
+    // Entries erased because a drop took their last reference, and their
+    // share bytes.
+    uint32_t orphaned = 0;
+    uint64_t orphaned_bytes = 0;
+  };
+  Status StageReferences(const std::vector<Fingerprint>& add,
+                         const std::vector<Fingerprint>& drop, UserId user,
+                         bool skip_unknown_drops, WriteBatch* batch, ReferenceDelta* delta);
 
-  // Drops one reference. Sets *orphaned when no references remain (the
-  // share is garbage-collectible).
-  Status DropReference(const Fingerprint& fp, UserId user, bool* orphaned);
-
-  // Removes the entry entirely (after GC reclaims the share).
-  Status Erase(const Fingerprint& fp);
-
-  // Rewrites the physical location (container migration during GC).
-  Status UpdateLocation(const Fingerprint& fp, const ShareLocation& location);
+  // Stages a new physical location for an indexed share (container
+  // migration during GC), keeping its owners.
+  Status StageLocation(const Fingerprint& fp, const ShareLocation& location, WriteBatch* batch);
 
   // Number of unique shares indexed. The scans below fail with the LSM
   // iterator's error (e.g. kCorruption) instead of returning a short count

@@ -12,6 +12,9 @@ namespace cdstore {
 
 namespace {
 
+// Capacity of the block cache shared by a Db's SSTables.
+constexpr size_t kBlockCacheBytes = 8 << 20;
+
 // Uniform view over memtable and SSTable iterators for merging. Each
 // source owns a reference to what it reads, so it stays valid after the Db
 // flushes or compacts it away.
@@ -162,7 +165,7 @@ class MergingDbIterator : public Db::Iterator {
 Db::Db(std::string path, const DbOptions& options)
     : path_(std::move(path)),
       opts_(options),
-      cache_(options.block_cache_bytes),
+      cache_(kBlockCacheBytes),
       mem_(std::make_shared<MemTable>()) {}
 
 Db::~Db() = default;
@@ -174,24 +177,27 @@ std::string Db::SstPath(uint64_t file_number) const {
 }
 
 Result<std::unique_ptr<Db>> Db::Open(const std::string& path, const DbOptions& options) {
-  if (!FileExists(path)) {
-    if (!options.create_if_missing) {
-      return Status::NotFound("db directory missing: " + path);
-    }
-    RETURN_IF_ERROR(CreateDirs(path));
-  }
+  RETURN_IF_ERROR(CreateDirs(path));
   auto db = std::unique_ptr<Db>(new Db(path, options));
   RETURN_IF_ERROR(db->LoadManifest());
 
-  // Replay the WAL into a fresh memtable.
-  ASSIGN_OR_RETURN(uint64_t wal_seq,
-                   ReplayWal(db->WalPath(), [&db](uint64_t first_seq, const WriteBatch& batch) {
-                     uint64_t seq = first_seq;
-                     for (const auto& op : batch.ops) {
-                       db->mem_->Add(seq++, op.type, op.key, op.value);
-                     }
-                   }));
+  // Replay the WAL into a fresh memtable, then cut off any torn or corrupt
+  // tail so new records append right after the last intact one.
+  auto apply = [&db](uint64_t first_seq, const WriteBatch& batch) {
+    uint64_t seq = first_seq;
+    for (const auto& op : batch.ops) {
+      db->mem_->Add(seq++, op.type, op.key, op.value);
+    }
+  };
+  uint64_t intact_bytes = 0;
+  ASSIGN_OR_RETURN(uint64_t wal_seq, ReplayWal(db->WalPath(), apply, &intact_bytes));
   db->last_seq_ = std::max(db->last_seq_, wal_seq);
+  if (std::error_code ec; FileExists(db->WalPath())) {
+    std::filesystem::resize_file(db->WalPath(), intact_bytes, ec);
+    if (ec) {
+      return Status::IOError("cannot truncate WAL tail: " + ec.message());
+    }
+  }
 
   ASSIGN_OR_RETURN(db->wal_, WalWriter::Open(db->WalPath()));
   return db;
@@ -268,18 +274,24 @@ Status Db::Write(const WriteBatch& batch) {
 }
 
 Status Db::WriteLocked(const WriteBatch& batch) {
+  RETURN_IF_ERROR(bg_error_);
   if (batch.ops.empty()) {
     return Status::Ok();
   }
   uint64_t first_seq = last_seq_ + 1;
-  RETURN_IF_ERROR(wal_->Append(first_seq, batch, opts_.sync_wal));
+  if (Status st = wal_->Append(first_seq, batch, opts_.sync_wal); !st.ok()) {
+    bg_error_ = st;
+    return st;
+  }
   uint64_t seq = first_seq;
   for (const auto& op : batch.ops) {
     mem_->Add(seq++, op.type, op.key, op.value);
   }
   last_seq_ = seq - 1;
   if (mem_->ApproximateMemoryUsage() >= opts_.write_buffer_size) {
-    RETURN_IF_ERROR(FlushLocked());
+    // The batch is logged, so this Write succeeded; a failed flush is the
+    // next call's error.
+    bg_error_ = FlushLocked();
   }
   return Status::Ok();
 }
@@ -336,7 +348,9 @@ void Db::ReleaseSnapshot(uint64_t snapshot_seq) {
 
 Status Db::Flush() {
   MutexLock lock(mu_);
-  return FlushLocked();
+  RETURN_IF_ERROR(bg_error_);
+  bg_error_ = FlushLocked();
+  return bg_error_;
 }
 
 Status Db::FlushLocked() {
@@ -372,6 +386,7 @@ Status Db::FlushLocked() {
 
 Status Db::CompactAll() {
   MutexLock lock(mu_);
+  RETURN_IF_ERROR(bg_error_);
   return CompactAllLocked();
 }
 

@@ -34,7 +34,11 @@ class Db {
 
   Status Put(ConstByteSpan key, ConstByteSpan value);
   Status Delete(ConstByteSpan key);
-  // Applies all ops atomically (one WAL record, consecutive seqs).
+  // Applies all ops atomically (one WAL record, consecutive seqs). Fails
+  // only when the batch is not in the WAL. The first failed WAL append or
+  // memtable flush is kept: every later Write, Flush and CompactAll
+  // returns it until the Db is reopened (a flush that fails after its
+  // batch was logged is reported by the next call).
   Status Write(const WriteBatch& batch);
 
   // Reads the latest visible version: every batch committed before the
@@ -104,6 +108,10 @@ class Db {
   uint64_t next_file_number_ GUARDED_BY(mu_) = 1;
   uint64_t last_seq_ GUARDED_BY(mu_) = 0;
   std::multiset<uint64_t> snapshots_ GUARDED_BY(mu_);
+  // The first WAL append or flush error. A failed append can leave a torn
+  // record at the log's end, and a record appended after it would never
+  // replay, so nothing is written until a reopen truncates the tail.
+  Status bg_error_ GUARDED_BY(mu_);
 };
 
 }  // namespace cdstore

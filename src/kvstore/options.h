@@ -12,16 +12,10 @@ struct DbOptions {
   size_t write_buffer_size = 1 << 20;  // 1 MB
   // Target uncompressed data block size inside SSTables.
   size_t block_size = 4 * 1024;
-  // Bloom filter bits per key (0 disables the filter).
-  int bloom_bits_per_key = 10;
-  // Shared block cache capacity in bytes (0 disables caching).
-  size_t block_cache_bytes = 8 << 20;
   // Full compaction is triggered when this many SSTables accumulate.
   int compaction_trigger = 4;
   // fsync the WAL after every write batch (durability vs throughput).
   bool sync_wal = false;
-  // Create the directory if missing.
-  bool create_if_missing = true;
 };
 
 }  // namespace cdstore

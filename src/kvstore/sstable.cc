@@ -15,6 +15,9 @@ namespace cdstore {
 
 namespace {
 
+// SSTable bloom density: about 1% false positives.
+constexpr int kBloomBitsPerKey = 10;
+
 void AppendRecord(Bytes* out, const RecordView& rec) {
   BufferWriter w;
   w.PutBytes(rec.key);
@@ -142,7 +145,7 @@ Result<uint64_t> SsTableBuilder::Finish(const std::string& path) {
   FlushBlock();
 
   // Bloom filter block.
-  BloomFilter bloom(keys_for_bloom_.size(), opts_.bloom_bits_per_key);
+  BloomFilter bloom(keys_for_bloom_.size(), kBloomBitsPerKey);
   for (const Bytes& k : keys_for_bloom_) {
     bloom.Add(k);
   }

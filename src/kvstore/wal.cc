@@ -98,7 +98,11 @@ Status WalWriter::Close() {
 }
 
 Result<uint64_t> ReplayWal(const std::string& path,
-                           const std::function<void(uint64_t, const WriteBatch&)>& apply) {
+                           const std::function<void(uint64_t, const WriteBatch&)>& apply,
+                           uint64_t* intact_bytes) {
+  if (intact_bytes != nullptr) {
+    *intact_bytes = 0;
+  }
   if (!FileExists(path)) {
     return uint64_t{0};
   }
@@ -126,6 +130,9 @@ Result<uint64_t> ReplayWal(const std::string& path,
     apply(first_seq, batch);
     uint64_t last = first_seq + (batch.ops.empty() ? 0 : batch.ops.size() - 1);
     max_seq = std::max(max_seq, last);
+    if (intact_bytes != nullptr) {
+      *intact_bytes = data.size() - r.remaining();
+    }
   }
   return max_seq;
 }

@@ -34,9 +34,13 @@ class WalWriter {
 // Replays every intact record: calls `apply(first_seq, batch)` in order.
 // Returns the highest sequence number seen (0 if none). Corrupted or
 // truncated tail records end replay silently; corruption in the middle is
-// also cut off there (data after it is unreachable anyway).
+// also cut off there (data after it is unreachable anyway). When
+// `intact_bytes` is non-null it receives the offset just past the last
+// intact record: a writer must truncate the log there before appending,
+// or every later record would sit behind the bad one and never replay.
 Result<uint64_t> ReplayWal(const std::string& path,
-                           const std::function<void(uint64_t, const WriteBatch&)>& apply);
+                           const std::function<void(uint64_t, const WriteBatch&)>& apply,
+                           uint64_t* intact_bytes = nullptr);
 
 // Serialization shared with tests.
 Bytes EncodeBatch(uint64_t first_seq, const WriteBatch& batch);

@@ -126,6 +126,25 @@ TEST(DedupAccelUnitTest, AccelFrontedIndexMatchesPlainIndex) {
     }
   };
 
+  // Stages the same reference change into both indices and commits each,
+  // as a server RPC does; both must agree on the outcome.
+  auto mirror_refs = [&](const std::vector<Fingerprint>& add,
+                         const std::vector<Fingerprint>& drop, UserId user,
+                         bool skip_unknown_drops) {
+    WriteBatch ba, bb;
+    ShareIndex::ReferenceDelta da, db2;
+    Status sa = accel_index.StageReferences(add, drop, user, skip_unknown_drops, &ba, &da);
+    Status sb = plain_index.StageReferences(add, drop, user, skip_unknown_drops, &bb, &db2);
+    ASSERT_EQ(sa.code(), sb.code());
+    if (sa.ok()) {
+      ASSERT_EQ(da.first_ref_bytes, db2.first_ref_bytes);
+      ASSERT_EQ(da.orphaned, db2.orphaned);
+      ASSERT_EQ(da.orphaned_bytes, db2.orphaned_bytes);
+      ASSERT_TRUE(db_a.value()->Write(ba).ok());
+      ASSERT_TRUE(db_b.value()->Write(bb).ok());
+    }
+  };
+
   // Interleaved mutations, mirrored to both indices, with full reads
   // between rounds: a fingerprint the bloom wrongly denied would surface
   // as divergence.
@@ -135,46 +154,43 @@ TEST(DedupAccelUnitTest, AccelFrontedIndexMatchesPlainIndex) {
       UserId user = 1 + (rng.Uniform(kUsers));
       switch (rng.Uniform(5)) {
         case 0: {
+          // Inserts only what is absent, as the server's claim check does.
+          auto present = plain_index.Lookup(fp);
+          ASSERT_TRUE(present.ok());
+          if (present.value().has_value()) {
+            break;
+          }
           ShareLocation loc{static_cast<uint64_t>(round + 1), 0,
                             static_cast<uint32_t>(32 + i % 64)};
-          Status sa = accel_index.Insert(fp, loc);
-          Status sb = plain_index.Insert(fp, loc);
-          ASSERT_EQ(sa.code(), sb.code());
+          ASSERT_TRUE(accel_index.InsertBatch({{fp, loc}}).ok());
+          ASSERT_TRUE(plain_index.InsertBatch({{fp, loc}}).ok());
           break;
         }
-        case 1: {
-          Status sa = accel_index.AddReference(fp, user);
-          Status sb = plain_index.AddReference(fp, user);
-          ASSERT_EQ(sa.code(), sb.code());
+        case 1:
+          mirror_refs({fp}, {}, user, /*skip_unknown_drops=*/false);
           break;
-        }
-        case 2: {
-          bool oa = false, ob = false;
-          Status sa = accel_index.DropReference(fp, user, &oa);
-          Status sb = plain_index.DropReference(fp, user, &ob);
-          ASSERT_EQ(sa.code(), sb.code());
-          ASSERT_EQ(oa, ob);
+        case 2:
+          mirror_refs({}, {fp, TestFp(rng.Uniform(kFps), "diff")}, user,
+                      /*skip_unknown_drops=*/false);
           break;
-        }
         case 3: {
-          Status sa = accel_index.Erase(fp);
-          Status sb = plain_index.Erase(fp);
-          ASSERT_EQ(sa.code(), sb.code());
-          break;
-        }
-        case 4: {
-          std::vector<Fingerprint> add{fp};
-          std::vector<Fingerprint> drop{TestFp(rng.Uniform(kFps), "diff")};
-          uint64_t fa = 0, da = 0, fb = 0, db2 = 0;
-          Status sa = accel_index.ReplaceReferences(add, drop, user, &fa, &da);
-          Status sb = plain_index.ReplaceReferences(add, drop, user, &fb, &db2);
+          // A GC move.
+          ShareLocation loc{static_cast<uint64_t>(100 + round), static_cast<uint32_t>(i),
+                            static_cast<uint32_t>(32 + i % 64)};
+          WriteBatch ba, bb;
+          Status sa = accel_index.StageLocation(fp, loc, &ba);
+          Status sb = plain_index.StageLocation(fp, loc, &bb);
           ASSERT_EQ(sa.code(), sb.code());
           if (sa.ok()) {
-            ASSERT_EQ(fa, fb);
-            ASSERT_EQ(da, db2);
+            ASSERT_TRUE(db_a.value()->Write(ba).ok());
+            ASSERT_TRUE(db_b.value()->Write(bb).ok());
           }
           break;
         }
+        case 4:
+          mirror_refs({fp}, {TestFp(rng.Uniform(kFps), "diff")}, user,
+                      /*skip_unknown_drops=*/true);
+          break;
       }
     }
     check_all("round");
@@ -319,7 +335,7 @@ TEST_F(DedupAccelE2eTest, DedupStatsByteIdenticalAccelOnVsOff) {
     RetentionPolicy policy;
     policy.keep_last_n = 2;
     ASSERT_TRUE(client.ApplyRetention("/data", policy).ok());
-    // GC rewrites partially dead containers (UpdateLocation + Erase paths).
+    // GC rewrites partially dead containers (staged location moves).
     for (int i = 0; i < kN; ++i) {
       ASSERT_TRUE(d.servers[i]->CollectGarbage().ok());
     }

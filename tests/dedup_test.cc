@@ -43,17 +43,29 @@ TEST_F(DedupTest, ShareEntrySerializationRoundTrip) {
   EXPECT_EQ(back.value().owners.at(9), 1u);
 }
 
+// Stages `user`'s reference change and commits it, as a server RPC does.
+Status CommitReferences(Db* db, ShareIndex& index, const std::vector<Fingerprint>& add,
+                        const std::vector<Fingerprint>& drop, UserId user,
+                        ShareIndex::ReferenceDelta* delta = nullptr,
+                        bool skip_unknown_drops = false) {
+  WriteBatch batch;
+  ShareIndex::ReferenceDelta ignored;
+  RETURN_IF_ERROR(index.StageReferences(add, drop, user, skip_unknown_drops, &batch,
+                                        delta != nullptr ? delta : &ignored));
+  return db->Write(batch);
+}
+
 TEST_F(DedupTest, InsertLookupShare) {
   ShareIndex index(db_.get());
   Fingerprint fp = FingerprintOf(BytesOf("share-content"));
   EXPECT_FALSE(index.Lookup(fp).value().has_value());
-  ASSERT_TRUE(index.Insert(fp, {1, 0, 100}).ok());
+  ASSERT_TRUE(index.InsertBatch({{fp, {1, 0, 100}}}).ok());
   auto loc = index.Lookup(fp);
   ASSERT_TRUE(loc.ok());
   ASSERT_TRUE(loc.value().has_value());
   EXPECT_EQ(loc.value()->container_id, 1u);
-  // Double insert rejected.
-  EXPECT_EQ(index.Insert(fp, {2, 0, 100}).code(), StatusCode::kAlreadyExists);
+  // An inserted share has no owner yet.
+  EXPECT_FALSE(index.UserHasShare(fp, 1).value().has_value());
 }
 
 TEST_F(DedupTest, PerUserOwnershipIsIsolated) {
@@ -61,8 +73,8 @@ TEST_F(DedupTest, PerUserOwnershipIsIsolated) {
   // own user A's share even though it is globally deduplicated.
   ShareIndex index(db_.get());
   Fingerprint fp = FingerprintOf(BytesOf("x"));
-  ASSERT_TRUE(index.Insert(fp, {1, 0, 8}).ok());
-  ASSERT_TRUE(index.AddReference(fp, /*user=*/1).ok());
+  ASSERT_TRUE(index.InsertBatch({{fp, {1, 0, 8}}}).ok());
+  ASSERT_TRUE(CommitReferences(db_.get(), index, {fp}, {}, /*user=*/1).ok());
   auto owned = index.UserHasShare(fp, 1);
   ASSERT_TRUE(owned.ok() && owned.value().has_value());
   EXPECT_EQ(owned.value()->container_id, 1u);
@@ -73,44 +85,59 @@ TEST_F(DedupTest, PerUserOwnershipIsIsolated) {
 TEST_F(DedupTest, ReferenceCountingLifecycle) {
   ShareIndex index(db_.get());
   Fingerprint fp = FingerprintOf(BytesOf("y"));
-  ASSERT_TRUE(index.Insert(fp, {1, 0, 8}).ok());
-  ASSERT_TRUE(index.AddReference(fp, 1).ok());
-  ASSERT_TRUE(index.AddReference(fp, 1).ok());  // two refs from user 1
-  ASSERT_TRUE(index.AddReference(fp, 2).ok());  // one from user 2
+  ASSERT_TRUE(index.InsertBatch({{fp, {1, 0, 8}}}).ok());
+  ShareIndex::ReferenceDelta delta;
+  // Two refs from user 1 in one recipe: the first reference ever counts the
+  // share's bytes once.
+  ASSERT_TRUE(CommitReferences(db_.get(), index, {fp, fp}, {}, 1, &delta).ok());
+  EXPECT_EQ(delta.first_ref_bytes, 8u);
+  ASSERT_TRUE(CommitReferences(db_.get(), index, {fp}, {}, 2, &delta).ok());
+  EXPECT_EQ(delta.first_ref_bytes, 0u);
 
-  bool orphaned = true;
-  ASSERT_TRUE(index.DropReference(fp, 1, &orphaned).ok());
-  EXPECT_FALSE(orphaned);
-  ASSERT_TRUE(index.DropReference(fp, 1, &orphaned).ok());
-  EXPECT_FALSE(orphaned);
+  ASSERT_TRUE(CommitReferences(db_.get(), index, {}, {fp}, 1, &delta).ok());
+  EXPECT_EQ(delta.orphaned, 0u);
+  ASSERT_TRUE(CommitReferences(db_.get(), index, {}, {fp}, 1, &delta).ok());
+  EXPECT_EQ(delta.orphaned, 0u);
   EXPECT_FALSE(index.UserHasShare(fp, 1).value().has_value());  // user 1 fully released
   EXPECT_TRUE(index.UserHasShare(fp, 2).value().has_value());
-  ASSERT_TRUE(index.DropReference(fp, 2, &orphaned).ok());
-  EXPECT_TRUE(orphaned) << "last reference must mark the share collectible";
+  ASSERT_TRUE(CommitReferences(db_.get(), index, {}, {fp}, 2, &delta).ok());
+  EXPECT_EQ(delta.orphaned, 1u) << "last reference must mark the share collectible";
+  EXPECT_EQ(delta.orphaned_bytes, 8u);
+  EXPECT_FALSE(index.Lookup(fp).value().has_value()) << "an orphan leaves the index";
 }
 
 TEST_F(DedupTest, DropWithoutReferenceFails) {
   ShareIndex index(db_.get());
   Fingerprint fp = FingerprintOf(BytesOf("z"));
-  ASSERT_TRUE(index.Insert(fp, {1, 0, 8}).ok());
-  bool orphaned = false;
-  EXPECT_EQ(index.DropReference(fp, 5, &orphaned).code(), StatusCode::kFailedPrecondition);
+  Fingerprint unknown = FingerprintOf(BytesOf("never-stored"));
+  ASSERT_TRUE(index.InsertBatch({{fp, {1, 0, 8}}}).ok());
+  ASSERT_TRUE(CommitReferences(db_.get(), index, {fp}, {}, 1).ok());
+  EXPECT_EQ(CommitReferences(db_.get(), index, {}, {fp}, 5).code(),
+            StatusCode::kFailedPrecondition);
+  // Net over one call: two drops against one held reference.
+  EXPECT_EQ(CommitReferences(db_.get(), index, {}, {fp, fp}, 1).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(index.UserHasShare(fp, 1).value().has_value());
+  // An unindexed drop fails, unless the caller (PutFile's replace path)
+  // asks for it to be skipped; an unindexed add always fails.
+  EXPECT_EQ(CommitReferences(db_.get(), index, {}, {unknown}, 1).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(CommitReferences(db_.get(), index, {}, {unknown}, 1, nullptr,
+                               /*skip_unknown_drops=*/true)
+                  .ok());
+  EXPECT_EQ(CommitReferences(db_.get(), index, {unknown}, {}, 1, nullptr, true).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(index.UserHasShare(fp, 1).value().has_value());
 }
 
 TEST_F(DedupTest, UniqueShareCountTracksInserts) {
   ShareIndex index(db_.get());
+  std::vector<std::pair<Fingerprint, ShareLocation>> entries;
   for (int i = 0; i < 25; ++i) {
-    ASSERT_TRUE(index.Insert(FingerprintOf(Rng(i).RandomBytes(10)), {1, 0, 10}).ok());
+    entries.emplace_back(FingerprintOf(Rng(i).RandomBytes(10)), ShareLocation{1, 0, 10});
   }
+  ASSERT_TRUE(index.InsertBatch(entries).ok());
   EXPECT_EQ(index.UniqueShareCount().value(), 25u);
-}
-
-TEST_F(DedupTest, EraseRemovesEntry) {
-  ShareIndex index(db_.get());
-  Fingerprint fp = FingerprintOf(BytesOf("gone"));
-  ASSERT_TRUE(index.Insert(fp, {1, 0, 8}).ok());
-  ASSERT_TRUE(index.Erase(fp).ok());
-  EXPECT_FALSE(index.Lookup(fp).value().has_value());
 }
 
 // A path's namespace fields as a PutFile would supply them.
@@ -130,18 +157,57 @@ TEST_F(DedupTest, FileIndexPutGetDelete) {
   Bytes path_key = BytesOf("encoded-path-share");
   Bytes path_hash = Sha256::Hash(path_key);
   bool new_path = false;
-  ASSERT_TRUE(files.AppendGeneration(7, path_hash, NameOf(path_key), rec, &new_path).ok());
+  WriteBatch batch;
+  ASSERT_TRUE(
+      files.StageAppendGeneration(7, path_hash, NameOf(path_key), rec, &batch, &new_path).ok());
   EXPECT_TRUE(new_path);
+  EXPECT_EQ(files.GetGeneration(7, path_hash, 0).status().code(), StatusCode::kNotFound)
+      << "staging writes nothing";
+  ASSERT_TRUE(db_->Write(batch).ok());
   auto got = files.GetGeneration(7, path_hash, /*generation=*/0);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got.value().file_size, 1000u);
   EXPECT_EQ(got.value().recipe_container_id, 12u);
   // A different user cannot see the file.
   EXPECT_EQ(files.GetGeneration(8, path_hash, 0).status().code(), StatusCode::kNotFound);
-  bool removed = false;
-  ASSERT_TRUE(files.DeleteGeneration(7, path_hash, got.value().generation_id, &removed).ok());
-  EXPECT_TRUE(removed);
+  batch.Clear();
+  ASSERT_TRUE(files.StageDeleteGenerations(7, path_hash, {got.value()}, {}, &batch).ok());
+  ASSERT_TRUE(db_->Write(batch).ok());
   EXPECT_EQ(files.GetGeneration(7, path_hash, 0).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(files.ListGenerations(7, path_hash).status().code(), StatusCode::kNotFound);
+}
+
+TEST_F(DedupTest, FileIndexDeletesSeveralGenerationsInOneBatch) {
+  // One batch deletes generations 2 and 3 of four: the head's count and
+  // latest come from the survivors, not from re-reading staged state.
+  FileIndex files(db_.get());
+  Bytes path_key = BytesOf("multi");
+  Bytes path_hash = Sha256::Hash(path_key);
+  for (int i = 0; i < 4; ++i) {
+    WriteBatch batch;
+    bool new_path = false;
+    ASSERT_TRUE(files
+                    .StageAppendGeneration(3, path_hash, NameOf(path_key), GenerationRecord{},
+                                           &batch, &new_path)
+                    .ok());
+    ASSERT_TRUE(db_->Write(batch).ok());
+  }
+  auto gens = files.ListGenerations(3, path_hash);
+  ASSERT_TRUE(gens.ok());
+  ASSERT_EQ(gens.value().size(), 4u);
+  const std::vector<GenerationRecord>& g = gens.value();
+  WriteBatch batch;
+  ASSERT_TRUE(files.StageDeleteGenerations(3, path_hash, {g[3], g[1]}, {g[0], g[2]}, &batch)
+                  .ok());
+  ASSERT_TRUE(db_->Write(batch).ok());
+  auto page = files.ScanPaths(3, {}, 16);
+  ASSERT_TRUE(page.ok());
+  ASSERT_EQ(page.value().entries.size(), 1u);
+  EXPECT_EQ(page.value().entries[0].head.generation_count, 2u);
+  EXPECT_EQ(page.value().entries[0].head.latest_generation, 3u);
+  EXPECT_EQ(page.value().entries[0].head.next_generation, 5u);
+  EXPECT_EQ(files.GetGeneration(3, path_hash, 0).value().generation_id, 3u);
+  EXPECT_EQ(files.ListGenerations(3, path_hash).value().size(), 2u);
 }
 
 TEST_F(DedupTest, FileCountPerUser) {
@@ -149,10 +215,12 @@ TEST_F(DedupTest, FileCountPerUser) {
   auto put = [&](UserId user, const std::string& path) {
     Bytes path_key = BytesOf(path);
     bool new_path = false;
+    WriteBatch batch;
     ASSERT_TRUE(files
-                    .AppendGeneration(user, Sha256::Hash(path_key), NameOf(path_key),
-                                      GenerationRecord{}, &new_path)
+                    .StageAppendGeneration(user, Sha256::Hash(path_key), NameOf(path_key),
+                                           GenerationRecord{}, &batch, &new_path)
                     .ok());
+    ASSERT_TRUE(db_->Write(batch).ok());
   };
   for (int i = 0; i < 5; ++i) {
     put(1, "path" + std::to_string(i));
@@ -168,13 +236,16 @@ TEST_F(DedupTest, IndicesCoexistInOneDb) {
   ShareIndex shares(db_.get());
   FileIndex files(db_.get());
   Fingerprint fp = FingerprintOf(BytesOf("s"));
-  ASSERT_TRUE(shares.Insert(fp, {1, 0, 8}).ok());
+  // One batch stages both indices' records, as PutFile's commit does.
+  WriteBatch batch;
+  shares.StageInserts({{fp, {1, 0, 8}}}, &batch);
   Bytes path_key = BytesOf("p");
   bool new_path = false;
   ASSERT_TRUE(files
-                  .AppendGeneration(1, Sha256::Hash(path_key), NameOf(path_key),
-                                    GenerationRecord{}, &new_path)
+                  .StageAppendGeneration(1, Sha256::Hash(path_key), NameOf(path_key),
+                                         GenerationRecord{}, &batch, &new_path)
                   .ok());
+  ASSERT_TRUE(db_->Write(batch).ok());
   EXPECT_EQ(shares.UniqueShareCount().value(), 1u);
   EXPECT_EQ(files.ScanPaths(1, {}, 16).value().entries.size(), 1u);
 }
@@ -183,8 +254,8 @@ TEST_F(DedupTest, IndexSurvivesDbReopen) {
   Fingerprint fp = FingerprintOf(BytesOf("durable"));
   {
     ShareIndex index(db_.get());
-    ASSERT_TRUE(index.Insert(fp, {3, 1, 99}).ok());
-    ASSERT_TRUE(index.AddReference(fp, 11).ok());
+    ASSERT_TRUE(index.InsertBatch({{fp, {3, 1, 99}}}).ok());
+    ASSERT_TRUE(CommitReferences(db_.get(), index, {fp}, {}, 11).ok());
   }
   db_.reset();
   auto reopened = Db::Open(dir_.Sub("db"), DbOptions{});

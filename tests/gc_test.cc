@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 
 #include "src/core/client.h"
 #include "src/core/server.h"
@@ -15,13 +16,27 @@
 namespace cdstore {
 namespace {
 
+// A MemBackend whose share-container PUTs fail while the flag is set: a
+// cloud that stops accepting new containers.
+class SealFailBackend : public MemBackend {
+ public:
+  Status Put(const std::string& name, ConstByteSpan data) override {
+    if (fail_container_puts && !name.empty() && name[0] == 'c') {
+      return Status::IOError("injected container PUT failure: " + name);
+    }
+    return MemBackend::Put(name, data);
+  }
+
+  std::atomic<bool> fail_container_puts{false};
+};
+
 class GcTest : public ::testing::Test {
  protected:
   static constexpr int kN = 4;
 
   void SetUp() override {
     for (int i = 0; i < kN; ++i) {
-      backends_.push_back(std::make_unique<MemBackend>());
+      backends_.push_back(std::make_unique<SealFailBackend>());
       ServerOptions so;
       so.index_dir = dir_.Sub("server" + std::to_string(i));
       so.container_capacity = 64 * 1024;  // small containers: more GC action
@@ -94,7 +109,7 @@ class GcTest : public ::testing::Test {
   }
 
   TempDir dir_;
-  std::vector<std::unique_ptr<MemBackend>> backends_;
+  std::vector<std::unique_ptr<SealFailBackend>> backends_;
   std::vector<std::unique_ptr<CdstoreServer>> servers_;
   std::vector<std::unique_ptr<InProcTransport>> transports_;
 };
@@ -225,6 +240,48 @@ TEST_F(GcTest, GcAfterOverwriteRewritesOnlyDereferencedContainers) {
   auto restored = client.Download("/v");
   ASSERT_TRUE(restored.ok()) << restored.status();
   EXPECT_EQ(restored.value(), gen2);
+}
+
+TEST_F(GcTest, FailedSealLeavesTheIndexOnTheOldContainers) {
+  CdstoreClient client(TransportPtrs(), 1, SmallClientOptions());
+  Bytes keep = Rng(31).RandomBytes(120000);
+  ASSERT_TRUE(client.Upload("/keep", keep).ok());
+  ASSERT_TRUE(client.Upload("/doomed", Rng(32).RandomBytes(120000)).ok());
+  ASSERT_TRUE(client.DeleteFile("/doomed").ok());
+  for (auto& server : servers_) {
+    ASSERT_TRUE(server->Flush().ok());
+  }
+  // GC moves /keep's shares out of the containers /doomed shared, but no
+  // new container reaches the backend; the servers go down still failing.
+  for (auto& backend : backends_) {
+    backend->fail_container_puts = true;
+  }
+  for (auto& server : servers_) {
+    EXPECT_FALSE(server->CollectGarbage().ok());
+  }
+  transports_.clear();
+  servers_.clear();
+  for (auto& backend : backends_) {
+    backend->fail_container_puts = false;
+  }
+  for (int i = 0; i < kN; ++i) {
+    auto server = Reopen(i, /*dedup_accel=*/true);
+    ASSERT_TRUE(server.ok()) << server.status();
+    servers_.push_back(std::move(server.value()));
+    transports_.push_back(std::make_unique<InProcTransport>(servers_.back()->AsHandler()));
+  }
+  CdstoreClient healed(TransportPtrs(), 1, SmallClientOptions());
+  auto restored = healed.Download("/keep");
+  ASSERT_TRUE(restored.ok()) << "the index names a container that never sealed: "
+                             << restored.status();
+  EXPECT_EQ(restored.value(), keep);
+  // The retried GC completes, and /keep survives it too.
+  for (auto& server : servers_) {
+    auto gc = server->CollectGarbage();
+    ASSERT_TRUE(gc.ok()) << gc.status();
+    EXPECT_GT(gc.value().live_shares_moved, 0u);
+  }
+  EXPECT_EQ(healed.Download("/keep").value(), keep);
 }
 
 TEST_F(GcTest, GcRefusesCorruptShareIndex) {

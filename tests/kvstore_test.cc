@@ -13,6 +13,7 @@
 #include "src/kvstore/wal.h"
 #include "src/util/fs_util.h"
 #include "src/util/rng.h"
+#include "tests/file_size_limit.h"
 
 namespace cdstore {
 namespace {
@@ -742,6 +743,125 @@ TEST(DbTest, BlockCacheServesRepeatedReads) {
   uint64_t h0 = db.value()->block_cache().hits();
   ASSERT_TRUE(db.value()->Get(B("key42"), &v).ok());
   EXPECT_GT(db.value()->block_cache().hits(), h0);
+}
+
+// ------------------------------------------------------- WAL write faults --
+
+uint64_t WalBytes(const std::string& db_dir) {
+  auto size = FileSize(db_dir + "/wal.log");
+  EXPECT_TRUE(size.ok());
+  return size.ok() ? size.value() : 0;
+}
+
+// One batch of `count` keys starting at `first`, 100-byte values.
+WriteBatch KeyBatch(int first, int count) {
+  WriteBatch batch;
+  for (int i = first; i < first + count; ++i) {
+    batch.Put(NumKey(i), NumValue(i));
+  }
+  return batch;
+}
+
+TEST(DbTest, TornWalTailIsCutBeforeNewWrites) {
+  TempDir dir;
+  std::string path = dir.Sub("db");
+  {
+    auto db = Db::Open(path, SmallDb());
+    ASSERT_TRUE(db.ok());
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(db.value()->Put(NumKey(i), NumValue(i)).ok());
+    }
+  }
+  // A torn frame: a header promising 100 payload bytes, then 3 of them.
+  ASSERT_TRUE(AppendFile(path + "/wal.log", Bytes{0x11, 0x22, 0x33, 0x44, 100, 0, 0, 0, 1, 2, 3})
+                  .ok());
+  {
+    auto db = Db::Open(path, SmallDb());
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE(db.value()->Put(B("after-torn-tail"), B("kept")).ok());
+  }
+  auto db = Db::Open(path, SmallDb());
+  ASSERT_TRUE(db.ok());
+  Bytes v;
+  ASSERT_TRUE(db.value()->Get(B("after-torn-tail"), &v).ok())
+      << "a record appended after a torn one never replays";
+  EXPECT_EQ(v, B("kept"));
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(db.value()->Get(NumKey(i), &v).ok()) << i;
+  }
+}
+
+TEST(DbTest, FailedWalAppendFailsEveryWriteUntilReopen) {
+  TempDir dir;
+  std::string path = dir.Sub("db");
+  {
+    auto db = Db::Open(path, SmallDb());
+    ASSERT_TRUE(db.ok());
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(db.value()->Put(NumKey(i), NumValue(i)).ok());
+    }
+    Status failed;
+    {
+      // Room for 8 bytes of the next frame: the append tears.
+      FileSizeLimit limit(WalBytes(path) + 8);
+      failed = db.value()->Write(KeyBatch(10, 5));
+    }
+    ASSERT_FALSE(failed.ok());
+    Status later = db.value()->Put(B("after-failure"), B("lost"));
+    EXPECT_EQ(later.code(), failed.code()) << later;
+    EXPECT_EQ(db.value()->Flush().code(), failed.code());
+    Bytes v;
+    EXPECT_EQ(db.value()->Get(NumKey(10), &v).code(), StatusCode::kNotFound);
+  }
+  {
+    auto db = Db::Open(path, SmallDb());
+    ASSERT_TRUE(db.ok());
+    Bytes v;
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(db.value()->Get(NumKey(i), &v).ok()) << i;
+    }
+    EXPECT_EQ(db.value()->Get(NumKey(10), &v).code(), StatusCode::kNotFound);
+    EXPECT_EQ(db.value()->Get(B("after-failure"), &v).code(), StatusCode::kNotFound);
+    ASSERT_TRUE(db.value()->Put(B("after-reopen"), B("kept")).ok());
+  }
+  auto db = Db::Open(path, SmallDb());
+  ASSERT_TRUE(db.ok());
+  Bytes v;
+  ASSERT_TRUE(db.value()->Get(B("after-reopen"), &v).ok());
+  EXPECT_EQ(v, B("kept"));
+}
+
+TEST(DbTest, FailedFlushAfterLoggedWriteFailsTheNextCall) {
+  TempDir dir;
+  std::string path = dir.Sub("db");
+  DbOptions o;
+  o.write_buffer_size = 64 * 1024;
+  WriteBatch second = KeyBatch(200, 600);
+  {
+    auto db = Db::Open(path, o);
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE(db.value()->Write(KeyBatch(0, 200)).ok());
+    ASSERT_EQ(db.value()->sstable_count(), 0);
+    Status logged;
+    {
+      // Room for exactly the second batch's WAL frame, but not for the
+      // SSTable its memtable flush writes (which holds both batches).
+      FileSizeLimit limit(WalBytes(path) + 8 + EncodeBatch(201, second).size());
+      logged = db.value()->Write(second);
+    }
+    EXPECT_TRUE(logged.ok()) << "the batch is in the WAL: " << logged;
+    EXPECT_EQ(db.value()->sstable_count(), 0);
+    Status next = db.value()->Put(B("after-failure"), B("lost"));
+    EXPECT_FALSE(next.ok());
+    EXPECT_EQ(db.value()->Write(KeyBatch(900, 1)).code(), next.code());
+  }
+  auto db = Db::Open(path, o);
+  ASSERT_TRUE(db.ok());
+  Bytes v;
+  for (int i = 0; i < 800; ++i) {
+    ASSERT_TRUE(db.value()->Get(NumKey(i), &v).ok()) << i;
+  }
+  EXPECT_EQ(db.value()->Get(B("after-failure"), &v).code(), StatusCode::kNotFound);
 }
 
 }  // namespace

@@ -291,30 +291,48 @@ TEST_F(NamespaceTest, PathHeadStoresNameAndContinuesIdSequence) {
   name.path_id = path_id;
   name.name_len = 17;
 
-  // Generations 1 and 2, then the latest is deleted: the head keeps
-  // next_generation at 3 and the next append continues from it.
+  // The FileIndex writers only stage; each step commits its batch as a
+  // server RPC does.
   GenerationRecord rec;
   bool new_path = false;
-  ASSERT_TRUE(index.AppendGeneration(user, path_hash, name, rec, &new_path).ok());
+  auto append = [&]() -> Result<GenerationRecord> {
+    WriteBatch batch;
+    ASSIGN_OR_RETURN(GenerationRecord stored, index.StageAppendGeneration(
+                                                  user, path_hash, name, rec, &batch, &new_path));
+    RETURN_IF_ERROR(db.value()->Write(batch));
+    return stored;
+  };
+  auto remove = [&](uint64_t generation) -> Status {
+    ASSIGN_OR_RETURN(std::vector<GenerationRecord> gens, index.ListGenerations(user, path_hash));
+    std::vector<GenerationRecord> doomed, kept;
+    for (const GenerationRecord& g : gens) {
+      (g.generation_id == generation ? doomed : kept).push_back(g);
+    }
+    WriteBatch batch;
+    RETURN_IF_ERROR(index.StageDeleteGenerations(user, path_hash, doomed, kept, &batch));
+    return db.value()->Write(batch);
+  };
+
+  // Generations 1 and 2, then the latest is deleted: the head keeps
+  // next_generation at 3 and the next append continues from it.
+  ASSERT_TRUE(append().ok());
   EXPECT_TRUE(new_path);
-  ASSERT_TRUE(index.AppendGeneration(user, path_hash, name, rec, &new_path).ok());
+  ASSERT_TRUE(append().ok());
   EXPECT_FALSE(new_path);
-  bool removed = true;
-  ASSERT_TRUE(index.DeleteGeneration(user, path_hash, 2, &removed).ok());
-  EXPECT_FALSE(removed);
+  ASSERT_TRUE(remove(2).ok());
   auto page = index.ScanPaths(user, {}, 16);
   ASSERT_TRUE(page.ok()) << page.status();
   ASSERT_EQ(page.value().entries.size(), 1u);
   EXPECT_EQ(page.value().entries[0].path_hash, path_hash);
   EXPECT_EQ(page.value().entries[0].head.next_generation, 3u);
   EXPECT_EQ(page.value().entries[0].head.latest_generation, 1u);
-  auto stored = index.AppendGeneration(user, path_hash, name, rec, &new_path);
+  auto stored = append();
   ASSERT_TRUE(stored.ok());
   EXPECT_EQ(stored.value().generation_id, 3u);
 
   // The head carries the namespace fields of the last write, and a delete
   // keeps them.
-  ASSERT_TRUE(index.DeleteGeneration(user, path_hash, 1, &removed).ok());
+  ASSERT_TRUE(remove(1).ok());
   page = index.ScanPaths(user, {}, 16);
   ASSERT_TRUE(page.ok());
   ASSERT_EQ(page.value().entries.size(), 1u);
@@ -328,7 +346,14 @@ TEST_F(NamespaceTest, PathHeadStoresNameAndContinuesIdSequence) {
   PathNameInfo renamed;
   renamed.name_share = path_key;
   rec.generation_id = 3;
-  ASSERT_TRUE(index.PutGeneration(user, path_hash, renamed, rec, &new_path).ok());
+  WriteBatch batch;
+  bool new_generation = true;
+  ASSERT_TRUE(index
+                  .StagePutGeneration(user, path_hash, renamed, rec, &batch, &new_path,
+                                      &new_generation)
+                  .ok());
+  EXPECT_FALSE(new_generation);
+  ASSERT_TRUE(db.value()->Write(batch).ok());
   page = index.ScanPaths(user, {}, 16);
   ASSERT_TRUE(page.ok());
   EXPECT_TRUE(page.value().entries[0].head.path_id.empty());

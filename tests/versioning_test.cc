@@ -5,6 +5,7 @@
 // under concurrent sessions (the TSAN-sensitive part).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <thread>
 
@@ -12,9 +13,11 @@
 #include "src/core/server.h"
 #include "src/net/transport.h"
 #include "src/storage/backend.h"
+#include "src/storage/container.h"
 #include "src/trace/synthetic.h"
 #include "src/util/fs_util.h"
 #include "src/util/rng.h"
+#include "tests/file_size_limit.h"
 
 namespace cdstore {
 namespace {
@@ -493,6 +496,298 @@ TEST_F(VersioningTest, ConcurrentSessionsKeepUniqueBytesExact) {
     CdstoreClient client(TransportPtrs(), c + 1, SmallClientOptions());
     EXPECT_EQ(client.Download("/u" + std::to_string(c)).value(),
               data.FileFor(c, kWeeks - 1));
+  }
+}
+
+// ------------------------------------------- one index commit per deletion --
+
+// A MemBackend whose GETs of one object fail while `fail_get` names it:
+// with an I/O error, or, when `lost` is set, as absent (a cloud that lost
+// the object). Set both only while no RPC is in flight.
+class FlakyGetBackend : public MemBackend {
+ public:
+  Result<Bytes> Get(const std::string& name) override {
+    if (name == fail_get) {
+      return lost ? Status::NotFound("object absent: " + name)
+                  : Status::IOError("injected GET failure: " + name);
+    }
+    return MemBackend::Get(name);
+  }
+
+  std::string fail_get;
+  bool lost = false;
+};
+
+// Deleting RPCs stage every index change and commit it with one Db write,
+// so a failure anywhere before that write leaves the index as it was.
+class AtomicDeleteTest : public ::testing::Test {
+ protected:
+  static constexpr int kN = 4;
+
+  struct Deployment {
+    TempDir dir;
+    std::vector<std::unique_ptr<FlakyGetBackend>> backends;
+    std::vector<std::unique_ptr<CdstoreServer>> servers;
+    std::vector<std::unique_ptr<InProcTransport>> transports;
+
+    Deployment() {
+      for (int i = 0; i < kN; ++i) {
+        backends.push_back(std::make_unique<FlakyGetBackend>());
+      }
+      Reopen();
+    }
+
+    std::string IndexDir(int i) const { return dir.Sub("server" + std::to_string(i)); }
+
+    // Drops the servers (sealing what they hold) and restarts them on the
+    // same backends and index dirs, with cold container caches.
+    void Reopen() {
+      transports.clear();
+      servers.clear();
+      for (int i = 0; i < kN; ++i) {
+        ServerOptions so;
+        so.index_dir = IndexDir(i);
+        so.container_capacity = 64 * 1024;
+        auto server = CdstoreServer::Create(backends[i].get(), so);
+        ASSERT_TRUE(server.ok()) << server.status();
+        servers.push_back(std::move(server.value()));
+        transports.push_back(std::make_unique<InProcTransport>(servers.back().get()));
+      }
+    }
+
+    std::unique_ptr<CdstoreClient> Client() {
+      std::vector<Transport*> ts;
+      for (auto& t : transports) {
+        ts.push_back(t.get());
+      }
+      ClientOptions o;
+      o.n = kN;
+      o.k = 3;
+      o.rabin.min_size = 512;
+      o.rabin.avg_size = 2048;
+      o.rabin.max_size = 8192;
+      return std::make_unique<CdstoreClient>(ts, /*user=*/1, o);
+    }
+
+    StatsReply Stats(int i) {
+      StatsReply reply;
+      EXPECT_TRUE(Decode(Dispatch(*servers[i], Encode(StatsRequest{})), &reply).ok());
+      return reply;
+    }
+
+    // Every key and value of server i's index, via a snapshot object.
+    Bytes IndexScan(int i) {
+      EXPECT_TRUE(servers[i]->BackupIndexSnapshot("index-scan").ok());
+      auto scan = backends[i]->Get("index-scan");
+      EXPECT_TRUE(scan.ok());
+      return scan.ok() ? scan.value() : Bytes{};
+    }
+  };
+
+  // What a client and the servers report about the index at one point.
+  struct Observed {
+    std::vector<VersionInfo> versions;
+    std::vector<StatsReply> stats;
+    std::vector<Bytes> scans;
+  };
+
+  static Observed Observe(Deployment& d, bool with_scan) {
+    Observed o;
+    auto versions = d.Client()->ListVersions("/home");
+    EXPECT_TRUE(versions.ok()) << versions.status();
+    if (versions.ok()) {
+      o.versions = versions.value();
+    }
+    for (int i = 0; i < kN; ++i) {
+      o.stats.push_back(d.Stats(i));
+      if (with_scan) {
+        o.scans.push_back(d.IndexScan(i));
+      }
+    }
+    return o;
+  }
+
+  static void ExpectSame(const Observed& got, const Observed& want) {
+    ASSERT_EQ(got.versions.size(), want.versions.size());
+    for (size_t v = 0; v < got.versions.size(); ++v) {
+      EXPECT_EQ(got.versions[v].generation_id, want.versions[v].generation_id);
+      EXPECT_EQ(got.versions[v].logical_bytes, want.versions[v].logical_bytes);
+      EXPECT_EQ(got.versions[v].unique_bytes, want.versions[v].unique_bytes);
+      EXPECT_EQ(got.versions[v].num_secrets, want.versions[v].num_secrets);
+      EXPECT_EQ(got.versions[v].timestamp_ms, want.versions[v].timestamp_ms);
+    }
+    ASSERT_EQ(got.stats.size(), want.stats.size());
+    for (size_t i = 0; i < got.stats.size(); ++i) {
+      EXPECT_EQ(got.stats[i].unique_shares, want.stats[i].unique_shares) << "cloud " << i;
+      EXPECT_EQ(got.stats[i].stored_bytes, want.stats[i].stored_bytes) << "cloud " << i;
+      EXPECT_EQ(got.stats[i].file_count, want.stats[i].file_count) << "cloud " << i;
+      EXPECT_EQ(got.stats[i].generation_count, want.stats[i].generation_count) << "cloud " << i;
+      EXPECT_EQ(got.stats[i].container_count, want.stats[i].container_count) << "cloud " << i;
+    }
+    EXPECT_TRUE(got.scans == want.scans) << "index contents differ";
+  }
+
+  static UploadFileOptions NewGen(uint64_t week) {
+    UploadFileOptions o;
+    o.mode = PutFileMode::kNewGeneration;
+    o.timestamp_ms = week * kWeekMs;
+    return o;
+  }
+
+  // Generations 1-3 of /home; DeleteVersion(1), whose index write fails on
+  // every cloud when `fail_write` is set; restart; the retry (when the
+  // first attempt failed); restart; GC. Returns what is left.
+  static void DeleteVersionScenario(Deployment& d, const std::vector<Bytes>& weekly,
+                                    bool fail_write, Observed* out) {
+    for (size_t w = 0; w < weekly.size(); ++w) {
+      ASSERT_TRUE(d.Client()->Upload("/home", weekly[w], nullptr, NewGen(w + 1)).ok());
+    }
+    auto client = d.Client();
+    if (fail_write) {
+      uint64_t wal_bytes = UINT64_MAX;
+      for (int i = 0; i < kN; ++i) {
+        auto size = FileSize(d.IndexDir(i) + "/wal.log");
+        ASSERT_TRUE(size.ok());
+        wal_bytes = std::min(wal_bytes, size.value());
+      }
+      Status st;
+      {
+        // Room for about ten single-entry records: a write per recipe
+        // entry gets partway, one batch for the RPC does not.
+        FileSizeLimit limit(wal_bytes + 1024);
+        st = client->DeleteVersion("/home", 1);
+      }
+      ASSERT_FALSE(st.ok());
+    } else {
+      ASSERT_TRUE(client->DeleteVersion("/home", 1).ok());
+    }
+    client.reset();
+    d.Reopen();
+    if (fail_write) {
+      ASSERT_TRUE(d.Client()->DeleteVersion("/home", 1).ok());
+    }
+    d.Reopen();
+    for (int i = 0; i < kN; ++i) {
+      auto gc = d.servers[i]->CollectGarbage();
+      ASSERT_TRUE(gc.ok()) << gc.status();
+    }
+    client = d.Client();
+    EXPECT_EQ(client->Download("/home", nullptr, 1).status().code(), StatusCode::kNotFound);
+    for (uint64_t g = 2; g <= weekly.size(); ++g) {
+      auto restored = client->Download("/home", nullptr, g);
+      ASSERT_TRUE(restored.ok()) << "generation " << g << ": " << restored.status();
+      EXPECT_EQ(restored.value(), weekly[g - 1]) << "generation " << g;
+    }
+    *out = Observe(d, /*with_scan=*/true);
+  }
+};
+
+TEST_F(AtomicDeleteTest, FailedIndexWriteLeavesDeleteVersionRetryable) {
+  std::vector<Bytes> weekly = WeeklySeries(3);
+  Observed twin;
+  {
+    Deployment d;
+    DeleteVersionScenario(d, weekly, /*fail_write=*/false, &twin);
+  }
+  Deployment d;
+  Observed faulted;
+  DeleteVersionScenario(d, weekly, /*fail_write=*/true, &faulted);
+  ASSERT_EQ(faulted.versions.size(), 2u);
+  ExpectSame(faulted, twin);
+}
+
+TEST_F(AtomicDeleteTest, DeleteFileWithAnUnreadableRecipeDeletesNothing) {
+  Deployment d;
+  std::vector<Bytes> weekly = WeeklySeries(3);
+  for (size_t w = 0; w < weekly.size(); ++w) {
+    ASSERT_TRUE(d.Client()->Upload("/home", weekly[w], nullptr, NewGen(w + 1)).ok());
+    // Seal each generation's recipe into its own container (ids 1, 2, 3).
+    for (auto& server : d.servers) {
+      ASSERT_TRUE(server->Flush().ok());
+    }
+  }
+  d.Reopen();  // cold caches: a recipe fetch reads the backend
+  Observed before = Observe(d, /*with_scan=*/false);
+  ASSERT_EQ(before.versions.size(), 3u);
+  const std::string third_recipe = ContainerObjectName("r", 3);
+  for (auto& backend : d.backends) {
+    ASSERT_TRUE(backend->Exists(third_recipe));
+    backend->fail_get = third_recipe;
+  }
+  EXPECT_FALSE(d.Client()->DeleteFile("/home").ok());
+  for (auto& backend : d.backends) {
+    backend->fail_get.clear();
+  }
+  ExpectSame(Observe(d, /*with_scan=*/false), before);
+  auto client = d.Client();
+  for (uint64_t g = 1; g <= weekly.size(); ++g) {
+    auto restored = client->Download("/home", nullptr, g);
+    ASSERT_TRUE(restored.ok()) << "generation " << g << ": " << restored.status();
+    EXPECT_EQ(restored.value(), weekly[g - 1]);
+  }
+}
+
+TEST_F(AtomicDeleteTest, SweepWithALostRecipeDropsNoReferences) {
+  Deployment d;
+  // Two paths on one sweep page with unrelated content: reversed bytes
+  // share no chunk with the forward series.
+  std::vector<Bytes> a = WeeklySeries(3);
+  std::vector<Bytes> b = a;
+  for (Bytes& gen : b) {
+    std::reverse(gen.begin(), gen.end());
+  }
+  for (const auto& [path, series] : {std::pair{"/a", &a}, std::pair{"/b", &b}}) {
+    for (size_t w = 0; w < series->size(); ++w) {
+      ASSERT_TRUE(d.Client()->Upload(path, (*series)[w], nullptr, NewGen(w + 1)).ok());
+      // One recipe container per generation: /a's are ids 1-3, /b's 4-6.
+      for (auto& server : d.servers) {
+        ASSERT_TRUE(server->Flush().ok());
+      }
+    }
+  }
+  d.Reopen();  // cold caches: a recipe fetch reads the backend
+  // Every cloud has lost the recipe of /a's generation 2, which the sweep
+  // reads after generation 1's. /b's prune alone would commit.
+  const std::string lost_recipe = ContainerObjectName("r", 2);
+  for (auto& backend : d.backends) {
+    ASSERT_TRUE(backend->Exists(lost_recipe));
+    backend->fail_get = lost_recipe;
+    backend->lost = true;
+  }
+  RetentionPolicy keep_one;
+  keep_one.keep_last_n = 1;
+  auto sweep = d.Client()->ApplyRetentionNamespace(keep_one);
+  ASSERT_FALSE(sweep.ok());
+  EXPECT_EQ(sweep.status().code(), StatusCode::kNotFound) << sweep.status();
+  // The lost object is named, not reported as a missing generation.
+  Status del = d.Client()->DeleteVersion("/a", 2);
+  EXPECT_NE(del.message().find("object absent"), std::string::npos) << del;
+  for (auto& backend : d.backends) {
+    backend->fail_get.clear();
+  }
+  for (int i = 0; i < kN; ++i) {
+    EXPECT_EQ(d.Stats(i).generation_count, 6u) << "cloud " << i;
+    auto gc = d.servers[i]->CollectGarbage();
+    ASSERT_TRUE(gc.ok()) << gc.status();
+  }
+  d.Reopen();
+  auto client = d.Client();
+  for (const auto& [path, series] : {std::pair{"/a", &a}, std::pair{"/b", &b}}) {
+    for (uint64_t g = 1; g <= series->size(); ++g) {
+      auto restored = client->Download(path, nullptr, g);
+      ASSERT_TRUE(restored.ok()) << path << " generation " << g << ": " << restored.status();
+      EXPECT_EQ(restored.value(), (*series)[g - 1]) << path << " generation " << g;
+    }
+  }
+  // With the object back, the sweep prunes both paths to their newest.
+  ASSERT_TRUE(client->ApplyRetentionNamespace(keep_one).ok());
+  for (int i = 0; i < kN; ++i) {
+    EXPECT_EQ(d.Stats(i).generation_count, 2u) << "cloud " << i;
+  }
+  for (const auto& [path, series] : {std::pair{"/a", &a}, std::pair{"/b", &b}}) {
+    auto restored = client->Download(path, nullptr, 3);
+    ASSERT_TRUE(restored.ok()) << path << ": " << restored.status();
+    EXPECT_EQ(restored.value(), series->back()) << path;
   }
 }
 
