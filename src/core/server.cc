@@ -1,7 +1,6 @@
 #include "src/core/server.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -11,7 +10,6 @@
 
 #include "src/core/recipe.h"
 #include "src/crypto/sha256.h"
-#include "src/dedup/index_accel.h"
 #include "src/util/io.h"
 #include "src/util/logging.h"
 
@@ -26,8 +24,7 @@ constexpr size_t kRetentionSweepPage = 64;
 
 // Resolves ServerOptions::share_index_stripes to the power of two the
 // stripe mask needs: 0 = auto (hardware_concurrency, at least 16);
-// explicit counts round up. Capped at 256 — beyond that, lock spreading
-// stops paying for the per-stripe bloom minimums.
+// explicit counts round up. Capped at 256.
 size_t ResolveStripeCount(size_t requested) {
   size_t n = requested;
   if (n == 0) {
@@ -63,11 +60,6 @@ CdstoreServer::CdstoreServer(StorageBackend* backend, const ServerOptions& optio
     metrics_.stripe_contention =
         options_.metrics->GetCounter("cdstore_server_stripe_contention_total");
     metrics_.claim_waits = options_.metrics->GetCounter("cdstore_server_claim_waits_total");
-    static const char* const kOutcomes[2] = {"bloom_negative", "lsm"};
-    for (int i = 0; i < 2; ++i) {
-      metrics_.fpquery_ns[i] = options_.metrics->GetHistogram(
-          "cdstore_dedup_fpquery_ns", {{"outcome", kOutcomes[i]}}, LatencyBucketsNs());
-    }
   }
 }
 
@@ -81,9 +73,7 @@ void CdstoreServer::CountUser(const char* name, UserId user, uint64_t delta) {
 CdstoreServer::~CdstoreServer() {
   Status st = Flush();
   if (!st.ok()) {
-    LOG(ERROR) << "flush on shutdown failed (unsealed containers ride on the "
-                  "n-k cloud redundancy): "
-               << st;
+    LOG(ERROR) << "flush on shutdown failed: " << st;
   }
 }
 
@@ -124,23 +114,7 @@ Result<std::unique_ptr<CdstoreServer>> CdstoreServer::Create(StorageBackend* bac
   auto server =
       std::unique_ptr<CdstoreServer>(new CdstoreServer(backend, options, std::move(db)));
   RETURN_IF_ERROR(server->LoadMeta());
-  RETURN_IF_ERROR(server->RebuildAccel());
   return server;
-}
-
-Status CdstoreServer::RebuildAccel() {
-  share_index_.AttachAccel(nullptr);
-  accel_.reset();
-  if (!options_.dedup_accel) {
-    return Status::Ok();
-  }
-  DedupAccelOptions ao;
-  ao.stripes = stripe_count_;
-  ao.bloom_bits_per_key = options_.dedup_bloom_bits_per_key;
-  ao.metrics = options_.metrics;
-  ASSIGN_OR_RETURN(accel_, DedupIndexAccel::Build(&share_index_, ao));
-  share_index_.AttachAccel(accel_.get());
-  return Status::Ok();
 }
 
 namespace {
@@ -270,28 +244,12 @@ void CdstoreServer::FpQuery(const FpQueryRequest& req, ReplyBuilder& rb) {
   FpQueryReply reply;
   reply.duplicate.resize(req.fps.size(), 0);
   uint64_t dup_hits = 0;
-  // Per-fingerprint timing only when metrics are on (two clock reads per
-  // fingerprint otherwise wasted); the histogram is split by whether the
-  // bloom answered, so the bloom/LSM cost structure shows up directly in
-  // cdstore_dedup_fpquery_ns{outcome=...}.
-  const bool timed = metrics_.fpquery_ns[0] != nullptr;
   for (size_t i = 0; i < req.fps.size(); ++i) {
     // Intra-user dedup (§3.3): the answer reveals only whether THIS user
     // already uploaded the share — never other users' holdings, which
     // defeats the side-channel attack of [28]. No stripe lock: the read
     // is one Db::Get, and only this user's own requests change its answer.
-    AccelOutcome outcome = AccelOutcome::kLsm;
-    std::chrono::steady_clock::time_point t0;
-    if (timed) {
-      t0 = std::chrono::steady_clock::now();
-    }
-    auto has = share_index_.UserHasShare(req.fps[i], req.user, &outcome);
-    if (timed) {
-      metrics_.fpquery_ns[static_cast<size_t>(outcome)]->Observe(static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()));
-    }
+    auto has = share_index_.UserHasShare(req.fps[i], req.user);
     if (!has.ok()) {
       rb.SendError(has.status());
       return;
@@ -1176,11 +1134,7 @@ Status CdstoreServer::RestoreIndexSnapshot(const std::string& object_name) {
     }
   }
   RETURN_IF_ERROR(db_->Write(batch));
-  RETURN_IF_ERROR(LoadMeta());
-  // The raw batch writes above bypassed ShareIndex, so the accel's blooms
-  // know nothing of the restored fingerprints — rebuild or every FpQuery
-  // against restored state would get a false bloom negative.
-  return RebuildAccel();
+  return LoadMeta();
 }
 
 uint64_t CdstoreServer::physical_share_bytes() const {

@@ -48,19 +48,12 @@ struct ServerOptions {
   // caches; 0 = no cache, every fetch of a sealed container reads the
   // backend.
   size_t container_cache_bytes = 32 << 20;
-  // --- share-index striping + lookup acceleration --------------------------
+  // --- share-index striping ------------------------------------------------
   // Share-index stripe count. 0 = auto: hardware_concurrency rounded up to
   // a power of two, clamped to [16, 256]; explicit values are rounded up to
-  // a power of two and clamped to [1, 256]. Stripes (and the accel's
-  // per-stripe blooms) are memory-only, so a store written at one count
-  // reopens correctly at any other.
+  // a power of two and clamped to [1, 256]. Stripes are memory-only, so a
+  // store written at one count reopens correctly at any other.
   size_t share_index_stripes = 0;
-  // Build the dedup lookup accelerator (src/dedup/index_accel.h) at
-  // startup: per-stripe negative-lookup blooms rebuilt from an index scan,
-  // kept exact across inserts.
-  bool dedup_accel = true;
-  // Negative-filter density (≈1% false positives at 10).
-  int dedup_bloom_bits_per_key = 10;
   // --- namespace control plane ---------------------------------------------
   // Hard clamp on a ListPaths page: no reply frame carries more heads than
   // this, however large the namespace (and whatever the client asked for).
@@ -70,7 +63,7 @@ struct ServerOptions {
   // a BackupIndexSnapshot automatically and prune old automatic snapshots
   // to the newest `snapshot_keep_last`. Off by default so deployments (and
   // tests) that account backend bytes exactly opt in; the CLI and the
-  // generation bench run with it on.
+  // benchmark harness (benchmark/src/harness.cc) run with it on.
   bool auto_index_snapshot = false;
   uint32_t snapshot_keep_last = 2;
   // Observability (src/obs/): when set, the server records per-RPC
@@ -95,9 +88,8 @@ class CdstoreServer : public ServerService {
 
   // Graceful shutdown: seals all open containers to the backend and
   // persists counters. Every store is attempted even when an earlier one
-  // fails; the first error is returned (and logged by the destructor — a
-  // failed seal means unsealed containers ride only on the n-k cloud
-  // redundancy until a retry succeeds).
+  // fails; each failed seal is logged as it happens, and the first error
+  // is returned (and logged by the destructor).
   ~CdstoreServer() override;
   Status Flush();
 
@@ -144,11 +136,9 @@ class CdstoreServer : public ServerService {
   uint64_t physical_share_bytes() const;
   uint64_t unique_share_count() const;
 
-  // The resolved share-index stripe count (see ServerOptions) and the
-  // attached lookup accelerator (null when dedup_accel is off). Exposed
-  // for tests and benches.
+  // The resolved share-index stripe count (see ServerOptions). Exposed for
+  // tests and benches.
   size_t share_stripe_count() const { return stripe_count_; }
-  DedupIndexAccel* dedup_accel() const { return accel_.get(); }
 
   // --- §4.7 extensions -----------------------------------------------------
   // Garbage collection: rewrites sealed containers whose shares have been
@@ -173,9 +163,8 @@ class CdstoreServer : public ServerService {
 
   // Fingerprint-space sharding of the share index. The count is resolved
   // from ServerOptions::share_index_stripes at construction (core-scaled
-  // by default); StripeOfFingerprint keeps the accel's per-stripe blooms
-  // aligned with these locks. Only writers take a stripe: UploadShares'
-  // claim check and every reference read-modify-write.
+  // by default). Only writers take a stripe: UploadShares' claim check
+  // and every reference read-modify-write.
   struct ShareStripe {
     Mutex mu;
     // Fingerprints an in-flight UploadShares has claimed but not yet
@@ -241,11 +230,6 @@ class CdstoreServer : public ServerService {
   // Destructor path goes through Flush(), which wraps this in the lock.
   Status FlushExclusive() REQUIRES(ops_mu_);
 
-  // Rebuilds the lookup accelerator from the index's current contents and
-  // attaches it (no-op when dedup_accel is off). Called at startup and
-  // after a snapshot restore's raw writes bypassed ShareIndex.
-  Status RebuildAccel();
-
   // Lock order (outer to inner): ops_mu_ -> commit_mu_ -> stripe mutexes
   // (ascending). Handlers never acquire commit_mu_ while holding a stripe;
   // FpQuery and GetShares hold ops_mu_ shared and nothing else. Every index
@@ -271,9 +255,6 @@ class CdstoreServer : public ServerService {
   struct ServerMetrics {
     Counter* stripe_contention = nullptr;  // PutFile stripe locks that blocked
     Counter* claim_waits = nullptr;        // waits on a foreign inflight claim
-    // FpQuery per-fingerprint latency, split by whether the bloom answered
-    // (cdstore_dedup_fpquery_ns{outcome=...}); indexed by AccelOutcome.
-    Histogram* fpquery_ns[2] = {nullptr, nullptr};
   };
   ServerMetrics metrics_;
 
@@ -281,7 +262,6 @@ class CdstoreServer : public ServerService {
   ServerOptions options_;
   std::unique_ptr<Db> db_;
   ShareIndex share_index_;
-  std::unique_ptr<DedupIndexAccel> accel_;
   FileIndex file_index_;
   ContainerStore share_store_;
   ContainerStore recipe_store_;

@@ -25,10 +25,9 @@ struct FingerprintHash {
   }
 };
 
-// The share-index stripe a fingerprint hashes to, shared between the
-// server's stripe locks and the dedup accel's per-stripe bloom filters so
-// the two always agree. `mask` = stripe_count - 1 (a power of two); the
-// uniform SHA-256 prefix balances any such count.
+// The share-index stripe a fingerprint hashes to: the server's stripe
+// lock for that fingerprint. `mask` = stripe_count - 1 (a power of two);
+// the uniform SHA-256 prefix balances any such count.
 inline size_t StripeOfFingerprint(const Fingerprint& fp, size_t mask) {
   return fp.empty() ? 0 : (FingerprintHash{}(fp) & mask);
 }

@@ -1,6 +1,5 @@
 #include "src/dedup/share_index.h"
 
-#include "src/dedup/index_accel.h"
 #include "src/util/io.h"
 #include "src/util/logging.h"
 
@@ -51,29 +50,15 @@ Bytes ShareIndex::KeyFor(const Fingerprint& fp) const {
   return key;
 }
 
-Result<ShareIndexEntry> ShareIndex::ReadEntry(const Fingerprint& fp, AccelOutcome* outcome) {
-  if (outcome != nullptr) {
-    *outcome = AccelOutcome::kLsm;
-  }
-  if (accel_ != nullptr && accel_->DefinitelyAbsent(fp)) {
-    if (outcome != nullptr) {
-      *outcome = AccelOutcome::kBloomNegative;
-    }
-    return Status::NotFound("share not indexed (bloom)");
-  }
+Result<ShareIndexEntry> ShareIndex::ReadEntry(const Fingerprint& fp) {
   Bytes value;
-  Status st = db_->Get(KeyFor(fp), &value);
-  if (st.code() == StatusCode::kNotFound && accel_ != nullptr) {
-    accel_->NoteBloomFalsePositive();
-  }
-  RETURN_IF_ERROR(st);
+  RETURN_IF_ERROR(db_->Get(KeyFor(fp), &value));
   return ShareIndexEntry::Deserialize(value);
 }
 
 Result<std::optional<ShareLocation>> ShareIndex::UserHasShare(const Fingerprint& fp,
-                                                              UserId user,
-                                                              AccelOutcome* outcome) {
-  Result<ShareIndexEntry> entry = ReadEntry(fp, outcome);
+                                                              UserId user) {
+  Result<ShareIndexEntry> entry = ReadEntry(fp);
   if (entry.status().code() == StatusCode::kNotFound) {
     return std::optional<ShareLocation>(std::nullopt);
   }
@@ -85,9 +70,8 @@ Result<std::optional<ShareLocation>> ShareIndex::UserHasShare(const Fingerprint&
   return std::optional<ShareLocation>(entry->location);
 }
 
-Result<std::optional<ShareLocation>> ShareIndex::Lookup(const Fingerprint& fp,
-                                                        AccelOutcome* outcome) {
-  Result<ShareIndexEntry> entry = ReadEntry(fp, outcome);
+Result<std::optional<ShareLocation>> ShareIndex::Lookup(const Fingerprint& fp) {
+  Result<ShareIndexEntry> entry = ReadEntry(fp);
   if (entry.status().code() == StatusCode::kNotFound) {
     return std::optional<ShareLocation>(std::nullopt);
   }
@@ -101,12 +85,6 @@ void ShareIndex::StageInserts(
     ShareIndexEntry entry;
     entry.location = location;
     batch->Put(KeyFor(fp), entry.Serialize());
-    // Bloom add precedes the commit: a reader must never find the key in
-    // the LSM while the bloom still denies it. (A failed commit leaves a
-    // harmless stale bloom positive.)
-    if (accel_ != nullptr) {
-      accel_->NoteInsert(fp);
-    }
   }
 }
 
@@ -122,9 +100,6 @@ Status ShareIndex::PutEntries(
   WriteBatch batch;
   for (const auto& [fp, entry] : entries) {
     batch.Put(KeyFor(fp), entry.Serialize());
-    if (accel_ != nullptr) {
-      accel_->NoteInsert(fp);
-    }
   }
   return db_->Write(batch);
 }
@@ -145,7 +120,7 @@ Status ShareIndex::StageReferences(const std::vector<Fingerprint>& add,
 
   *delta = ReferenceDelta{};
   for (const auto& [fp, d] : net) {
-    Result<ShareIndexEntry> read = ReadEntry(fp, nullptr);
+    Result<ShareIndexEntry> read = ReadEntry(fp);
     if (read.status().code() == StatusCode::kNotFound) {
       if (added.count(fp) > 0) {
         return Status::FailedPrecondition("recipe references unknown share " +
@@ -176,7 +151,7 @@ Status ShareIndex::StageReferences(const std::vector<Fingerprint>& add,
     }
     if (entry.owners.empty() && added.count(fp) == 0) {
       // A drop took the last reference: erase the entry so GC sees the
-      // share as dead (the bloom keeps a stale positive). Entries named by
+      // share as dead. Entries named by
       // `add` are never erased: the new recipe references them.
       ++delta->orphaned;
       delta->orphaned_bytes += entry.location.share_size;
@@ -190,7 +165,7 @@ Status ShareIndex::StageReferences(const std::vector<Fingerprint>& add,
 
 Status ShareIndex::StageLocation(const Fingerprint& fp, const ShareLocation& location,
                                  WriteBatch* batch) {
-  ASSIGN_OR_RETURN(ShareIndexEntry entry, ReadEntry(fp, nullptr));
+  ASSIGN_OR_RETURN(ShareIndexEntry entry, ReadEntry(fp));
   entry.location = location;
   batch->Put(KeyFor(fp), entry.Serialize());
   return Status::Ok();
@@ -208,19 +183,6 @@ Status ShareIndex::ForEach(
     Fingerprint fp(key.begin() + 1, key.end());
     ASSIGN_OR_RETURN(ShareIndexEntry entry, ShareIndexEntry::Deserialize(it->value()));
     fn(fp, entry);
-  }
-  return it->status();
-}
-
-Status ShareIndex::ForEachFingerprint(const std::function<void(const Fingerprint&)>& fn) {
-  auto it = db_->NewIterator();
-  Bytes prefix = {kPrefix};
-  for (it->Seek(prefix); it->Valid(); it->Next()) {
-    const Bytes& key = it->key();
-    if (key.empty() || key[0] != kPrefix) {
-      break;
-    }
-    fn(Fingerprint(key.begin() + 1, key.end()));
   }
   return it->status();
 }

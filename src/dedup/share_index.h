@@ -19,16 +19,6 @@
 
 namespace cdstore {
 
-class DedupIndexAccel;
-
-// Whether the attached lookup accelerator answered a read or it went to
-// the LSM (always kLsm when none is attached). The server histograms
-// FpQuery latency per outcome (cdstore_dedup_fpquery_ns{outcome=...}).
-enum class AccelOutcome : uint8_t {
-  kBloomNegative = 0,  // per-stripe bloom proved the fingerprint absent
-  kLsm = 1,            // fell through to the LSM
-};
-
 // Where a unique share physically lives.
 struct ShareLocation {
   uint64_t container_id = 0;
@@ -51,30 +41,19 @@ class ShareIndex {
   // one database using distinct key prefixes.
   explicit ShareIndex(Db* db);
 
-  // Attaches a lookup accelerator (src/dedup/index_accel.h): reads consult
-  // its bloom filters before the LSM, and every insert keeps it exact (the
-  // bloom add comes BEFORE the commit). Not owned; nullptr detaches. The
-  // accel must have been built from this index's current contents
-  // (DedupIndexAccel::Build), or bloom negatives would be wrong.
-  void AttachAccel(DedupIndexAccel* accel) { accel_ = accel; }
-  DedupIndexAccel* accel() const { return accel_; }
-
   // Does this user already own a share with this fingerprint? Returns its
   // location if so, nullopt otherwise: one index read serves both the
   // intra-user dedup query a CDStore client issues before uploading and
   // the owner check plus lookup of a restore. One Db::Get, atomic per key,
   // so the answer needs no caller lock: it depends only on this user's
-  // reference count, which no other user's mutation changes.
-  // `outcome`, when non-null, reports whether the bloom answered.
-  Result<std::optional<ShareLocation>> UserHasShare(const Fingerprint& fp, UserId user,
-                                                    AccelOutcome* outcome = nullptr);
+  // reference count, which no other user's mutation changes. A miss costs
+  // the memtable probe plus one SSTable bloom check per table.
+  Result<std::optional<ShareLocation>> UserHasShare(const Fingerprint& fp, UserId user);
 
   // Is this share stored at all (by any user)? Inter-user dedup check.
-  Result<std::optional<ShareLocation>> Lookup(const Fingerprint& fp,
-                                              AccelOutcome* outcome = nullptr);
+  Result<std::optional<ShareLocation>> Lookup(const Fingerprint& fp);
 
-  // Stages entries for newly stored shares (no owners yet) into `batch`,
-  // adding each fingerprint to the accel's bloom before the caller commits.
+  // Stages entries for newly stored shares (no owners yet) into `batch`.
   // Precondition: none of the fingerprints is indexed (the server checks
   // under its claim); no per-entry existence probe is repeated here.
   void StageInserts(const std::vector<std::pair<Fingerprint, ShareLocation>>& entries,
@@ -128,25 +107,18 @@ class ShareIndex {
   // build the container -> live shares map.
   Status ForEach(const std::function<void(const Fingerprint&, const ShareIndexEntry&)>& fn);
 
-  // Visits every indexed fingerprint without deserializing entries — the
-  // cheap key-only scan the accel's startup bloom rebuild runs twice.
-  Status ForEachFingerprint(const std::function<void(const Fingerprint&)>& fn);
-
   // Bulk-loads fully formed entries (location + owners) as one atomic
   // write, overwriting any existing values. Used by bench_dedup_index to
-  // populate millions of fingerprints without per-entry existence probes;
-  // accel bloom maintenance still applies.
+  // populate millions of fingerprints without per-entry existence probes.
   Status PutEntries(const std::vector<std::pair<Fingerprint, ShareIndexEntry>>& entries);
 
  private:
-  // Bloom gate (when an accel is attached), then Db::Get and Deserialize.
-  // NotFound propagates.
-  Result<ShareIndexEntry> ReadEntry(const Fingerprint& fp, AccelOutcome* outcome);
+  // Db::Get and Deserialize. NotFound propagates.
+  Result<ShareIndexEntry> ReadEntry(const Fingerprint& fp);
 
   Bytes KeyFor(const Fingerprint& fp) const;
 
   Db* db_;
-  DedupIndexAccel* accel_ = nullptr;
 };
 
 }  // namespace cdstore

@@ -70,44 +70,6 @@ bool BloomFilter::MayContain(ConstByteSpan key) const {
   return true;
 }
 
-AtomicBloomFilter::AtomicBloomFilter(size_t expected_keys, int bits_per_key)
-    : expected_keys_(expected_keys) {
-  size_t bits = std::max<size_t>(64, expected_keys * static_cast<size_t>(bits_per_key));
-  num_words_ = (bits + 63) / 64;
-  words_ = std::make_unique<std::atomic<uint64_t>[]>(num_words_);
-  for (size_t i = 0; i < num_words_; ++i) {
-    words_[i].store(0, std::memory_order_relaxed);
-  }
-  // Same probe-count rule as the SSTable filter: k = ln2 * bits/keys.
-  num_probes_ = std::clamp(static_cast<int>(bits_per_key * 0.69), 1, 30);
-}
-
-void AtomicBloomFilter::Add(ConstByteSpan key) {
-  uint64_t h = Hash64(key);
-  uint64_t delta = (h >> 33) | (h << 31);  // double hashing
-  size_t nbits = num_words_ * 64;
-  for (int i = 0; i < num_probes_; ++i) {
-    size_t bit = h % nbits;
-    words_[bit / 64].fetch_or(1ull << (bit % 64), std::memory_order_relaxed);
-    h += delta;
-  }
-  added_.fetch_add(1, std::memory_order_relaxed);
-}
-
-bool AtomicBloomFilter::MayContain(ConstByteSpan key) const {
-  uint64_t h = Hash64(key);
-  uint64_t delta = (h >> 33) | (h << 31);
-  size_t nbits = num_words_ * 64;
-  for (int i = 0; i < num_probes_; ++i) {
-    size_t bit = h % nbits;
-    if ((words_[bit / 64].load(std::memory_order_relaxed) & (1ull << (bit % 64))) == 0) {
-      return false;
-    }
-    h += delta;
-  }
-  return true;
-}
-
 Bytes BloomFilter::Serialize() const {
   Bytes out;
   out.reserve(1 + bits_.size());

@@ -1,19 +1,12 @@
-// Bloom filters over user keys, as LevelDB uses to avoid disk reads for
+// Bloom filter over user keys, as LevelDB uses to avoid disk reads for
 // absent keys [18]. Double hashing derives k probe positions from one
-// 64-bit hash. Two implementations share the probe schedule:
-//
-//   BloomFilter        single-writer, serializable — built once per SSTable
-//                      at flush time, then read-only.
-//   AtomicBloomFilter  concurrency-safe and lock-free — the dedup
-//                      lookup-acceleration layer's per-stripe negative
-//                      filter, where FpQuery readers race UploadShares
-//                      inserts (src/dedup/index_accel.h).
+// 64-bit hash. Each SSTable builds one at flush time, serializes it into
+// the table, and reads it before any block on a point lookup — the path
+// that answers the share index's negative (new-fingerprint) lookups.
 #ifndef CDSTORE_SRC_KVSTORE_BLOOM_H_
 #define CDSTORE_SRC_KVSTORE_BLOOM_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 
 #include "src/util/bytes.h"
 
@@ -40,38 +33,6 @@ class BloomFilter {
 
   int num_probes_ = 1;
   Bytes bits_;
-};
-
-// Concurrency-safe bloom filter: Add and MayContain may race freely from
-// any number of threads (relaxed atomic fetch_or / loads on 64-bit words —
-// no locks anywhere, matching the obs metrics idiom). Sized once at
-// construction; false positives possible, false negatives are not, and an
-// Add is visible to MayContain as soon as any happens-before edge orders
-// the two calls (the caller's lock, queue, or RPC reply provides it).
-class AtomicBloomFilter {
- public:
-  // Sized for `expected_keys` at `bits_per_key`. Adding past expected_keys
-  // only degrades the false-positive rate, never correctness.
-  AtomicBloomFilter(size_t expected_keys, int bits_per_key);
-  AtomicBloomFilter(const AtomicBloomFilter&) = delete;
-  AtomicBloomFilter& operator=(const AtomicBloomFilter&) = delete;
-
-  void Add(ConstByteSpan key);
-  bool MayContain(ConstByteSpan key) const;
-
-  size_t bit_count() const { return num_words_ * 64; }
-  size_t memory_bytes() const { return num_words_ * sizeof(std::atomic<uint64_t>); }
-  // Keys added so far (approximate under races; exact when adds are
-  // externally ordered). Lets owners watch saturation vs expected_keys.
-  uint64_t added() const { return added_.load(std::memory_order_relaxed); }
-  size_t expected_keys() const { return expected_keys_; }
-
- private:
-  int num_probes_ = 1;
-  size_t num_words_ = 1;
-  size_t expected_keys_ = 0;
-  std::atomic<uint64_t> added_{0};
-  std::unique_ptr<std::atomic<uint64_t>[]> words_;
 };
 
 // 64-bit hash used by the filter and the block cache (FNV-1a with avalanche).

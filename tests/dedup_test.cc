@@ -1,10 +1,24 @@
+// Share/file index unit tests, and server-level dedup behaviour: a
+// stripe-count reopen, and two TSAN-raced scenarios — concurrent uploads
+// checked against a reopened store, and an owner's lock-free reads racing
+// another user's reference rewrites.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "src/core/client.h"
+#include "src/core/server.h"
 #include "src/crypto/sha256.h"
 #include "src/dedup/file_index.h"
 #include "src/dedup/fingerprint.h"
 #include "src/dedup/share_index.h"
 #include "src/kvstore/db.h"
+#include "src/net/transport.h"
+#include "src/storage/backend.h"
 #include "src/util/fs_util.h"
 #include "src/util/rng.h"
 
@@ -265,6 +279,363 @@ TEST_F(DedupTest, IndexSurvivesDbReopen) {
   auto loc = index.Lookup(fp);
   ASSERT_TRUE(loc.value().has_value());
   EXPECT_EQ(loc.value()->share_size, 99u);
+}
+
+// One typed RPC against `server`: the status an error reply carries, else
+// the decoded reply.
+template <class Req, class Reply>
+Status Call(CdstoreServer& server, const Req& req, Reply* reply) {
+  Bytes frame = Dispatch(server, Encode(req));
+  RETURN_IF_ERROR(DecodeIfError(frame));
+  return Decode(frame, reply);
+}
+
+class DedupServerTest : public ::testing::Test {
+ protected:
+  static constexpr int kN = 4;
+
+  struct Deployment {
+    TempDir dir;
+    std::vector<std::unique_ptr<MemBackend>> backends;
+    std::vector<std::unique_ptr<CdstoreServer>> servers;
+    std::vector<std::unique_ptr<InProcTransport>> transports;
+
+    std::vector<Transport*> TransportPtrs() {
+      std::vector<Transport*> out;
+      for (auto& t : transports) {
+        out.push_back(t.get());
+      }
+      return out;
+    }
+
+    StatsReply Stats(int i) {
+      Bytes frame = Dispatch(*servers[i], Encode(StatsRequest{}));
+      StatsReply reply;
+      EXPECT_TRUE(Decode(frame, &reply).ok());
+      return reply;
+    }
+
+    // Tears down the servers (sealing containers) and recreates them over
+    // the same backends + index dirs with new options.
+    void Reopen(const std::function<void(ServerOptions&)>& tune) {
+      transports.clear();
+      servers.clear();
+      for (int i = 0; i < kN; ++i) {
+        ServerOptions so;
+        so.index_dir = dir.Sub("server" + std::to_string(i));
+        so.container_capacity = 64 * 1024;
+        tune(so);
+        auto server = CdstoreServer::Create(backends[i].get(), so);
+        ASSERT_TRUE(server.ok()) << server.status();
+        servers.push_back(std::move(server.value()));
+        transports.push_back(std::make_unique<InProcTransport>(servers.back().get()));
+      }
+    }
+  };
+
+  // The latest generation's recipe fingerprints of every path `user` has
+  // on `server`.
+  static std::vector<Fingerprint> RecipeFps(CdstoreServer& server, UserId user) {
+    ListPathsRequest list;
+    list.user = user;
+    ListPathsReply paths;
+    EXPECT_TRUE(Call(server, list, &paths).ok());
+    std::vector<Fingerprint> fps;
+    for (const PathInfo& p : paths.paths) {
+      GetFileRequest get;
+      get.user = user;
+      get.path_key = p.name_share;
+      GetFileReply file;
+      EXPECT_TRUE(Call(server, get, &file).ok());
+      for (const RecipeEntry& e : file.recipe) {
+        fps.push_back(e.fp);
+      }
+    }
+    return fps;
+  }
+
+  static std::vector<uint8_t> FpQuery(CdstoreServer& server, UserId user,
+                                      const std::vector<Fingerprint>& fps) {
+    FpQueryRequest req;
+    req.user = user;
+    req.fps = fps;
+    FpQueryReply reply;
+    EXPECT_TRUE(Call(server, req, &reply).ok());
+    return reply.duplicate;
+  }
+
+  void MakeDeployment(Deployment& d, const std::function<void(ServerOptions&)>& tune) {
+    for (int i = 0; i < kN; ++i) {
+      d.backends.push_back(std::make_unique<MemBackend>());
+    }
+    d.Reopen(tune);
+  }
+
+  ClientOptions SmallClientOptions() {
+    ClientOptions o;
+    o.n = kN;
+    o.k = 3;
+    o.rabin.min_size = 512;
+    o.rabin.avg_size = 2048;
+    o.rabin.max_size = 8192;
+    return o;
+  }
+};
+
+// A store written at one stripe count must reopen correctly at another:
+// stripes are memory-only, so nothing about the
+// persisted index may depend on the count.
+TEST_F(DedupServerTest, StripeCountReopenRegression) {
+  Deployment d;
+  MakeDeployment(d, [](ServerOptions& so) { so.share_index_stripes = 16; });
+  for (int i = 0; i < kN; ++i) {
+    EXPECT_EQ(d.servers[i]->share_stripe_count(), 16u);
+  }
+
+  Bytes file = Rng(7).RandomBytes(96 * 1024);
+  uint64_t unique_before = 0;
+  {
+    CdstoreClient client(d.TransportPtrs(), /*user=*/1, SmallClientOptions());
+    ASSERT_TRUE(client.Upload("/stripes", file, nullptr).ok());
+    unique_before = d.Stats(0).unique_shares;
+    ASSERT_GT(unique_before, 0u);
+  }
+
+  d.Reopen([](ServerOptions& so) { so.share_index_stripes = 64; });
+  for (int i = 0; i < kN; ++i) {
+    EXPECT_EQ(d.servers[i]->share_stripe_count(), 64u);
+  }
+  {
+    CdstoreClient client(d.TransportPtrs(), /*user=*/1, SmallClientOptions());
+    auto restored = client.Download("/stripes");
+    ASSERT_TRUE(restored.ok()) << restored.status();
+    EXPECT_EQ(restored.value(), file);
+    // Re-uploading the identical file dedups everything: the reopened
+    // index answers FpQuery correctly at the new stripe count.
+    UploadStats stats;
+    UploadFileOptions fo;
+    fo.mode = PutFileMode::kNewGeneration;
+    ASSERT_TRUE(client.Upload("/stripes", file, &stats, fo).ok());
+    EXPECT_EQ(stats.transferred_share_bytes, 0u) << "reopened index missed duplicates";
+    EXPECT_EQ(d.Stats(0).unique_shares, unique_before);
+  }
+
+  // And back down: 64 -> 16 (auto would also differ from 64 on most hosts).
+  d.Reopen([](ServerOptions& so) { so.share_index_stripes = 16; });
+  CdstoreClient client(d.TransportPtrs(), /*user=*/1, SmallClientOptions());
+  auto restored = client.Download("/stripes");
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ(restored.value(), file);
+}
+
+// TSAN scenario: concurrent clients race FpQuery reads against
+// UploadShares' claim-protected InsertBatch and PutFile's reference
+// commits. Shared content across users maximizes cross-user dedup traffic
+// through the lock-free index reads.
+TEST_F(DedupServerTest, ConcurrentUploadsMatchReopenedIndex) {
+  Deployment d;
+  MakeDeployment(d, [](ServerOptions& so) {
+    so.share_index_stripes = 8;  // fewer stripes: more lock contention
+  });
+
+  constexpr int kThreads = 4;
+  Bytes shared = Rng(11).RandomBytes(64 * 1024);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      // Each thread is its own user with its own client; half the data is
+      // shared across users (inter-user dedup), half private.
+      CdstoreClient client(d.TransportPtrs(), /*user=*/static_cast<UserId>(t + 1),
+                           SmallClientOptions());
+      Bytes mine = shared;
+      Bytes priv = Rng(100 + t).RandomBytes(32 * 1024);
+      mine.insert(mine.end(), priv.begin(), priv.end());
+      for (int round = 0; round < 2; ++round) {
+        UploadFileOptions fo;
+        fo.mode = PutFileMode::kNewGeneration;
+        fo.timestamp_ms = round + 1;
+        ASSERT_TRUE(client.Upload("/race", mine, nullptr, fo).ok());
+      }
+      auto restored = client.Download("/race");
+      ASSERT_TRUE(restored.ok()) << restored.status();
+      ASSERT_EQ(restored.value(), mine);
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+
+  // The live answers stayed exact under the race: every user's FpQuery
+  // over all users' recipe fingerprints (its own and the others' private
+  // ones) answers exactly as the same store after a plain reopen.
+  auto answers = [&]() {
+    std::vector<std::vector<uint8_t>> out;
+    for (int i = 0; i < kN; ++i) {
+      std::vector<Fingerprint> fps;
+      std::vector<size_t> own_end;
+      for (UserId u = 1; u <= kThreads; ++u) {
+        std::vector<Fingerprint> recipe = RecipeFps(*d.servers[i], u);
+        EXPECT_FALSE(recipe.empty()) << "cloud " << i << " user " << u;
+        fps.insert(fps.end(), recipe.begin(), recipe.end());
+        own_end.push_back(fps.size());
+      }
+      for (UserId u = 1; u <= kThreads; ++u) {
+        std::vector<uint8_t> dup = FpQuery(*d.servers[i], u, fps);
+        // A user's own recipe fingerprints are all its duplicates.
+        size_t begin = u == 1 ? 0 : own_end[u - 2];
+        for (size_t j = begin; j < own_end[u - 1]; ++j) {
+          EXPECT_EQ(dup[j], 1) << "cloud " << i << " user " << u << " fp " << j;
+        }
+        out.push_back(std::move(dup));
+      }
+    }
+    return out;
+  };
+  std::vector<std::vector<uint8_t>> live = answers();
+  d.Reopen([](ServerOptions& so) { so.share_index_stripes = 8; });
+  EXPECT_EQ(answers(), live);
+}
+
+// Readers take no stripe lock. User A loops FpQuery and GetShares over
+// shares it owns while user B rewrites its own references to the same
+// shares (PutFile new-generation and replace-latest, DeleteVersion) and
+// stores and orphans shares only B owns, on a Db small enough to flush and
+// compact throughout. A's references never change, so every answer must
+// be "duplicate", every share byte-exact, and no request denied.
+TEST_F(DedupServerTest, OwnerReadsRaceAnotherUsersReferenceRewrites) {
+  TempDir dir;
+  MemBackend backend;
+  ServerOptions so;
+  so.index_dir = dir.Sub("index");
+  so.share_index_stripes = 4;
+  so.container_capacity = 16 * 1024;
+  so.db.write_buffer_size = 4 * 1024;
+  so.db.compaction_trigger = 3;
+  auto created = CdstoreServer::Create(&backend, so);
+  ASSERT_TRUE(created.ok()) << created.status();
+  CdstoreServer& server = *created.value();
+  constexpr UserId kA = 1, kB = 2;
+
+  std::vector<Bytes> shared, b_only;
+  for (uint64_t i = 0; i < 48; ++i) {
+    shared.push_back(Rng(1000 + i).RandomBytes(200 + i));
+  }
+  for (uint64_t i = 0; i < 16; ++i) {
+    b_only.push_back(Rng(5000 + i).RandomBytes(300 + i));
+  }
+  auto recipe_of = [](const std::vector<Bytes>& shares) {
+    std::vector<RecipeEntry> recipe;
+    for (const Bytes& s : shares) {
+      recipe.push_back(RecipeEntry{FingerprintOf(s), static_cast<uint32_t>(s.size()),
+                                   static_cast<uint32_t>(s.size())});
+    }
+    return recipe;
+  };
+  auto upload = [&](UserId user, const std::vector<Bytes>& shares) {
+    UploadSharesRequest req;
+    req.user = user;
+    req.shares = shares;
+    UploadSharesReply reply;
+    return Call(server, req, &reply);
+  };
+  auto put = [&](UserId user, const std::vector<RecipeEntry>& recipe, PutFileMode mode,
+                 uint64_t* gen) {
+    PutFileRequest req;
+    req.user = user;
+    req.path_key = BytesOf(user == kA ? "path-a" : "path-b");
+    req.mode = mode;
+    req.recipe = recipe;
+    PutFileReply reply;
+    Status st = Call(server, req, &reply);
+    *gen = reply.generation_id;
+    return st;
+  };
+  auto delete_version = [&](uint64_t gen) {
+    DeleteVersionRequest req;
+    req.user = kB;
+    req.path_key = BytesOf("path-b");
+    req.generation_id = gen;
+    DeleteVersionReply reply;
+    return Call(server, req, &reply);
+  };
+
+  std::vector<RecipeEntry> a_recipe = recipe_of(shared);
+  std::vector<RecipeEntry> b_recipe = a_recipe;
+  for (const RecipeEntry& e : recipe_of(b_only)) {
+    b_recipe.push_back(e);
+  }
+  std::vector<Fingerprint> fps;
+  for (const RecipeEntry& e : a_recipe) {
+    fps.push_back(e.fp);
+  }
+  uint64_t gen = 0;
+  ASSERT_TRUE(upload(kA, shared).ok());
+  ASSERT_TRUE(put(kA, a_recipe, PutFileMode::kNewGeneration, &gen).ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> reads{0};
+  std::atomic<uint64_t> wrong{0};
+  auto reader = [&]() {
+    FpQueryRequest query;
+    query.user = kA;
+    query.fps = fps;
+    GetSharesRequest get;
+    get.user = kA;
+    get.fps = fps;
+    while (!stop.load()) {
+      FpQueryReply dup;
+      Status st = Call(server, query, &dup);
+      if (!st.ok() || dup.duplicate != std::vector<uint8_t>(fps.size(), 1)) {
+        ADD_FAILURE() << "FpQuery: " << st;
+        wrong.fetch_add(1);
+      }
+      GetSharesReply got;
+      st = Call(server, get, &got);
+      if (!st.ok() || got.shares != shared) {
+        ADD_FAILURE() << "GetShares: " << st;
+        wrong.fetch_add(1);
+      }
+      reads.fetch_add(1);
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back(reader);
+  }
+  // B's rounds: store its private shares (re-stored after each orphaning),
+  // append a generation, replace it in place, delete the previous one, and
+  // every other round delete everything B holds.
+  Status writer_status;
+  uint64_t prev = 0;
+  for (int round = 0; round < 24 && writer_status.ok(); ++round) {
+    uint64_t next = 0;
+    writer_status = upload(kB, b_only);
+    if (writer_status.ok()) {
+      writer_status = put(kB, b_recipe, PutFileMode::kNewGeneration, &next);
+    }
+    if (writer_status.ok()) {
+      writer_status = put(kB, b_recipe, PutFileMode::kReplaceLatest, &gen);
+    }
+    if (writer_status.ok() && prev != 0) {
+      writer_status = delete_version(prev);
+    }
+    prev = next;
+    if (writer_status.ok() && round % 2 == 1) {
+      writer_status = delete_version(next);
+      prev = 0;
+    }
+    while (writer_status.ok() && reads.load() < static_cast<uint64_t>(round + 1)) {
+      std::this_thread::yield();  // every round overlaps some reads
+    }
+  }
+  stop.store(true);
+  for (auto& t : readers) {
+    t.join();
+  }
+  ASSERT_TRUE(writer_status.ok()) << writer_status;
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_GT(reads.load(), 0u);
 }
 
 }  // namespace

@@ -100,11 +100,10 @@ class GcTest : public ::testing::Test {
     }
   }
 
-  Result<std::unique_ptr<CdstoreServer>> Reopen(int i, bool dedup_accel) {
+  Result<std::unique_ptr<CdstoreServer>> Reopen(int i) {
     ServerOptions so;
     so.index_dir = dir_.Sub("server" + std::to_string(i));
     so.container_capacity = 64 * 1024;
-    so.dedup_accel = dedup_accel;
     return CdstoreServer::Create(backends_[i].get(), so);
   }
 
@@ -265,7 +264,7 @@ TEST_F(GcTest, FailedSealLeavesTheIndexOnTheOldContainers) {
     backend->fail_container_puts = false;
   }
   for (int i = 0; i < kN; ++i) {
-    auto server = Reopen(i, /*dedup_accel=*/true);
+    auto server = Reopen(i);
     ASSERT_TRUE(server.ok()) << server.status();
     servers_.push_back(std::move(server.value()));
     transports_.push_back(std::make_unique<InProcTransport>(servers_.back()->AsHandler()));
@@ -293,7 +292,7 @@ TEST_F(GcTest, GcRefusesCorruptShareIndex) {
   transports_[0].reset();
   CorruptShareIndex(0);
 
-  auto server = Reopen(0, /*dedup_accel=*/false);
+  auto server = Reopen(0);
   ASSERT_TRUE(server.ok()) << server.status();
   auto objects_before = backends_[0]->List();
   ASSERT_TRUE(objects_before.ok());
@@ -306,18 +305,6 @@ TEST_F(GcTest, GcRefusesCorruptShareIndex) {
   std::sort(objects_before.value().begin(), objects_before.value().end());
   std::sort(objects_after.value().begin(), objects_after.value().end());
   EXPECT_EQ(objects_after.value(), objects_before.value());
-}
-
-TEST_F(GcTest, AccelRebuildRefusesCorruptShareIndex) {
-  CdstoreClient client(TransportPtrs(), 1, SmallClientOptions());
-  ASSERT_TRUE(client.Upload("/f", Rng(10).RandomBytes(1 << 20)).ok());
-  ASSERT_TRUE(servers_[0]->Flush().ok());
-  transports_[0].reset();
-  CorruptShareIndex(0);
-  // Blooms built from a truncated scan would answer "definitely absent" for
-  // indexed fingerprints.
-  auto server = Reopen(0, /*dedup_accel=*/true);
-  EXPECT_EQ(server.status().code(), StatusCode::kCorruption) << server.status();
 }
 
 TEST_F(GcTest, IndexSnapshotBackupRestore) {
